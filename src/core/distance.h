@@ -68,6 +68,15 @@ DistanceKernelFn DistanceKernel(DistanceKind kind);
 /// weights): two empty signatures are at distance 0 — an individual with no
 /// observable communication is "identical to itself"; empty vs non-empty is
 /// distance 1.
+///
+/// No-shared-label contract: every kind, on every intersection tier,
+/// returns exactly 1.0 for two non-empty signatures with no id in common
+/// (no matches make a zero numerator, and ClampDistance(1 - 0/x) is 1), and
+/// the two edge cases above are exact too. A pair that shares no label is
+/// therefore decided without running the kernel; SelfMatchRoc relies on
+/// this to evaluate only label-sharing candidates. The contract assumes
+/// positive, finite weights whose squares do not all underflow (the cosine
+/// denominator must be non-zero).
 double Distance(DistanceKind kind, const Signature& a, const Signature& b);
 
 /// The pre-SIMD single-merge formulation: one linear merge over the entry

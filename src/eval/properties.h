@@ -49,7 +49,12 @@ PropertyEllipse SummarizeProperties(std::span<const Signature> sigs_t,
 /// for each focal node v, rank every candidate u by
 /// Dist(σ_t(v), σ_{t+1}(u)) and score how well v itself ranks first. Returns
 /// one RocResult per query node, using the self node as the single relevant
-/// candidate.
+/// candidate. The result equals ComputeRoc over all n candidate distances
+/// (same AUC up to rounding, same curve corners), but the kernel only runs
+/// on candidates that share a label with the query: every other candidate
+/// is at the fixed no-shared-label distance of core/distance.h, and with
+/// one relevant candidate the ROC is set by how many candidates rank
+/// before, level with and after it. Each curve has at most four points.
 std::vector<RocResult> SelfMatchRoc(std::span<const Signature> sigs_t,
                                     std::span<const Signature> sigs_t1,
                                     SignatureDistance dist);

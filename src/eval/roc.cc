@@ -29,24 +29,27 @@ RocResult ComputeRoc(const std::vector<double>& scores,
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return scores[a] < scores[b]; });
 
-  const double up = 1.0 / static_cast<double>(num_relevant);
-  const double right = 1.0 / static_cast<double>(num_irrelevant);
+  // Each rate is a count ratio rather than a running sum of steps, so the
+  // curve ends at exactly (1,1) and a point's coordinates do not depend on
+  // how the candidates before it split into tie groups.
+  const double rel_total = static_cast<double>(num_relevant);
+  const double irr_total = static_cast<double>(num_irrelevant);
 
   double tpr = 0.0, fpr = 0.0, auc = 0.0;
+  size_t rel_seen = 0, irr_seen = 0;
   size_t i = 0;
   while (i < n) {
     size_t j = i;
-    size_t group_rel = 0, group_irr = 0;
     while (j < n && scores[order[j]] == scores[order[i]]) {
       if (relevant[order[j]]) {
-        ++group_rel;
+        ++rel_seen;
       } else {
-        ++group_irr;
+        ++irr_seen;
       }
       ++j;
     }
-    const double new_tpr = tpr + up * static_cast<double>(group_rel);
-    const double new_fpr = fpr + right * static_cast<double>(group_irr);
+    const double new_tpr = static_cast<double>(rel_seen) / rel_total;
+    const double new_fpr = static_cast<double>(irr_seen) / irr_total;
     // Trapezoid under the diagonal segment.
     auc += (new_fpr - fpr) * (tpr + new_tpr) / 2.0;
     tpr = new_tpr;

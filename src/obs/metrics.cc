@@ -283,6 +283,7 @@ void PreRegisterCoreMetrics() {
         "rwr/batch_dense_iterations", "rwr/batch_sparse_iterations",
         "rwr_push/calls", "rwr_push/pushes",
         "signature/built", "distance/evaluations", "distance/pairwise_pairs",
+        "eval/selfmatch_pairs", "eval/selfmatch_candidates",
         "sketch/cm_updates",
         "sketch/cm_queries", "sketch/fm_updates", "sketch/fm_queries",
         "sketch/ss_updates",

@@ -256,5 +256,88 @@ TEST(DistanceNamesTest, AllKindsHasFour) {
   EXPECT_EQ(AllDistanceKinds().size(), 4u);
 }
 
+// ---------------------------------------------------------------------------
+// The no-shared-label contract of core/distance.h, which SelfMatchRoc
+// relies on to skip the kernel: exact values, on every intersection tier.
+// ---------------------------------------------------------------------------
+
+using distance_internal::DistanceWithTier;
+using distance_internal::IntersectTier;
+
+constexpr IntersectTier kAllTiers[] = {
+    IntersectTier::kAuto, IntersectTier::kMerge, IntersectTier::kBlockMerge,
+    IntersectTier::kGallop, IntersectTier::kBitset};
+
+// `n` ids offset + stride * i, i = 0..n-1, with weights spread over twelve
+// orders of magnitude; every fifth id is repeated when `duplicates` is set.
+Signature SpacedSig(Rng& rng, size_t n, NodeId offset, NodeId stride,
+                    bool duplicates) {
+  std::vector<Signature::Entry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    const NodeId id = offset + stride * static_cast<NodeId>(i);
+    const double weight = std::pow(10.0, rng.UniformDouble() * 12.0 - 6.0);
+    entries.push_back({id, weight});
+    if (duplicates && i % 5 == 0) entries.push_back({id, weight * 0.5});
+  }
+  const size_t k = entries.size();
+  return Signature::FromTopK(std::move(entries), k);
+}
+
+TEST(NoSharedLabelContractTest, DisjointNonEmptyIsExactlyOneOnEveryTier) {
+  Rng rng(12);
+  const size_t sizes[] = {1, 2, 3, 15, 16, 17, 64, 300};
+  const size_t skews[] = {1, 8, 16, 256};
+  for (size_t small : sizes) {
+    for (size_t skew : skews) {
+      const size_t big = small * skew;
+      // Interleaved ids over one dense range (the auto tier picks the
+      // bitset for balanced sizes), interleaved over a sparse range, and
+      // separated ranges.
+      const struct {
+        NodeId a_offset, a_stride, b_offset, b_stride;
+        bool duplicates;
+      } layouts[] = {
+          {0, 2, 1, 2, false},
+          {0, 2000, 1000, 2000, true},
+          {0, 1, static_cast<NodeId>(small + 5), 1, false},
+      };
+      for (const auto& l : layouts) {
+        const Signature a =
+            SpacedSig(rng, small, l.a_offset, l.a_stride, l.duplicates);
+        const Signature b =
+            SpacedSig(rng, big, l.b_offset, l.b_stride, l.duplicates);
+        for (DistanceKind kind : AllDistanceKindsExtended()) {
+          for (IntersectTier tier : kAllTiers) {
+            EXPECT_EQ(DistanceWithTier(kind, a, b, tier), 1.0)
+                << DistanceName(kind) << " sizes " << small << ":" << big
+                << " tier " << static_cast<int>(tier);
+            EXPECT_EQ(DistanceWithTier(kind, b, a, tier), 1.0)
+                << DistanceName(kind) << " sizes " << big << ":" << small
+                << " tier " << static_cast<int>(tier);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NoSharedLabelContractTest, EmptyCasesAreExactOnEveryTier) {
+  Rng rng(13);
+  const Signature empty;
+  for (size_t n : {1, 16, 300}) {
+    const Signature s = SpacedSig(rng, n, 0, 3, false);
+    for (DistanceKind kind : AllDistanceKindsExtended()) {
+      for (IntersectTier tier : kAllTiers) {
+        EXPECT_EQ(DistanceWithTier(kind, empty, empty, tier), 0.0)
+            << DistanceName(kind);
+        EXPECT_EQ(DistanceWithTier(kind, empty, s, tier), 1.0)
+            << DistanceName(kind) << " size " << n;
+        EXPECT_EQ(DistanceWithTier(kind, s, empty, tier), 1.0)
+            << DistanceName(kind) << " size " << n;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace commsig

@@ -82,6 +82,28 @@ TEST(RocTest, CurveIsMonotone) {
   }
 }
 
+TEST(RocTest, CornersAreExactCountRatios) {
+  // Nine irrelevant candidates ahead of the relevant one, each in its own
+  // tie group. A running sum of nine 1/9 steps overshoots 1.0; the count
+  // ratios do not, so the curve ends at exactly (1, 0) -> (1, 1) and the
+  // averaged curve reads TPR 1 at FPR 1.
+  std::vector<double> scores = {0.95};
+  std::vector<bool> relevant = {true};
+  for (int i = 1; i <= 9; ++i) {
+    scores.push_back(0.1 * i);
+    relevant.push_back(false);
+  }
+  RocResult r = ComputeRoc(scores, relevant);
+  ASSERT_EQ(r.curve.size(), 11u);
+  for (size_t k = 0; k <= 9; ++k) {
+    EXPECT_EQ(r.curve[k].fpr, static_cast<double>(k) / 9.0);
+    EXPECT_EQ(r.curve[k].tpr, 0.0);
+  }
+  EXPECT_EQ(r.curve.back().fpr, 1.0);
+  EXPECT_EQ(r.curve.back().tpr, 1.0);
+  EXPECT_EQ(AverageRocCurves({r}, 11).back().tpr, 1.0);
+}
+
 TEST(RocTest, RandomScoresGiveAucNearHalf) {
   Rng rng(2);
   double sum = 0.0;

@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""CLI flag validation: a bad --scheme / --dist fails before any input IO.
+
+Each comparing subcommand is run with a bad flag and a --trace path that
+does not exist. The run must exit 1 with a `bad_scheme_or_distance` log
+line whose `error` field names the bad value, and it must not have tried
+to open the trace (no `trace_load_failed`, no `io_retry`).
+
+Usage: cli_flags_test.py <path-to-commsig-binary>
+(ctest passes $<TARGET_FILE:commsig_cli>.)
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+COMMSIG = None  # resolved in main()
+
+COMMANDS = ("selfmatch", "multiusage", "masquerade", "anomalies", "timeline")
+
+
+class CliFlagsTest(unittest.TestCase):
+    def run_cli(self, *argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            missing = os.path.join(tmp, "no_such_trace.csv")
+            proc = subprocess.run([COMMSIG, *argv, "--trace", missing],
+                                  capture_output=True, text=True, timeout=60)
+        events = [json.loads(line) for line in proc.stderr.splitlines()
+                  if line.startswith("{")]
+        return proc.returncode, events
+
+    def expect_flag_error(self, command, flag, value, fragment):
+        rc, events = self.run_cli(command, flag, value)
+        self.assertEqual(rc, 1, f"{command} {flag} {value}: {events}")
+        names = [e["event"] for e in events]
+        self.assertEqual(names, ["bad_scheme_or_distance"],
+                         f"{command} {flag} {value} read input: {names}")
+        self.assertIn(fragment, events[0]["error"])
+
+    def test_bad_distance_fails_before_io(self):
+        for command in COMMANDS:
+            with self.subTest(command=command):
+                self.expect_flag_error(command, "--dist", "shell",
+                                       "unknown distance: shell")
+
+    def test_bad_scheme_fails_before_io(self):
+        for command in COMMANDS:
+            with self.subTest(command=command):
+                self.expect_flag_error(command, "--scheme", "tx",
+                                       "unknown scheme spec: tx")
+
+    def test_good_flags_reach_the_loader(self):
+        rc, events = self.run_cli("selfmatch", "--dist", "jac",
+                                  "--retry-max-attempts", "1")
+        self.assertEqual(rc, 1)
+        self.assertIn("trace_load_failed", [e["event"] for e in events])
+
+
+def main() -> int:
+    global COMMSIG
+    if len(sys.argv) < 2 or not os.path.isfile(sys.argv[1]):
+        print("usage: cli_flags_test.py <commsig-binary>", file=sys.stderr)
+        return 2
+    COMMSIG = sys.argv[1]
+    unittest.main(argv=[sys.argv[0]] + sys.argv[2:])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -542,6 +542,22 @@ Result<DistanceKind> DistFor(const Args& args) {
   return ParseDistanceName(args.Get("dist", "shel"));
 }
 
+/// The --scheme / --dist pair of a command that compares signatures across
+/// or within windows. Parsed before the input is read, so a bad flag fails
+/// without paying for the load.
+struct Comparison {
+  std::unique_ptr<SignatureScheme> scheme;
+  SignatureDistance dist;
+};
+
+Result<Comparison> ComparisonFor(const Args& args) {
+  auto scheme = SchemeFor(args);
+  if (!scheme.ok()) return scheme.status();
+  auto dist = DistFor(args);
+  if (!dist.ok()) return dist.status();
+  return Comparison{std::move(*scheme), SignatureDistance(*dist)};
+}
+
 int RunSignatures(const Args& args, Workspace& ws) {
   size_t window = args.GetInt("window", 0);
   if (window >= ws.windows.size()) {
@@ -564,26 +580,19 @@ int RunSignatures(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunSelfMatch(const Args& args, Workspace& ws) {
+int RunSelfMatch(const Args& args, Workspace& ws, const Comparison& cmp) {
   size_t w0 = args.GetInt("window", 0);
   size_t w1 = args.GetInt("window2", 1);
   if (w0 >= ws.windows.size() || w1 >= ws.windows.size()) {
     obs::LogError("window_out_of_range").U64("windows", ws.windows.size());
     return 1;
   }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) {
-    obs::LogError("bad_scheme_or_distance");
-    return 1;
-  }
-  auto s0 = ws.Signatures(**scheme, w0);
-  auto s1 = ws.Signatures(**scheme, w1);
-  SignatureDistance d(*dist);
-  auto rocs = SelfMatchRoc(s0, s1, d);
-  PropertyEllipse e = SummarizeProperties(s0, s1, d, 50000);
+  auto s0 = ws.Signatures(*cmp.scheme, w0);
+  auto s1 = ws.Signatures(*cmp.scheme, w1);
+  auto rocs = SelfMatchRoc(s0, s1, cmp.dist);
+  PropertyEllipse e = SummarizeProperties(s0, s1, cmp.dist, 50000);
   std::printf("scheme=%s dist=%s windows=%zu->%zu\n",
-              (*scheme)->name().c_str(), std::string(DistanceName(*dist)).c_str(),
+              cmp.scheme->name().c_str(), std::string(cmp.dist.name()).c_str(),
               w0, w1);
   std::printf("self-match AUC  %.4f\n", MeanAuc(rocs));
   std::printf("persistence     %.4f +- %.4f\n", e.mean_persistence,
@@ -593,7 +602,7 @@ int RunSelfMatch(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunMultiusage(const Args& args, Workspace& ws) {
+int RunMultiusage(const Args& args, Workspace& ws, const Comparison& cmp) {
   size_t window = args.GetInt("window", 0);
   if (window >= ws.windows.size()) {
     obs::LogError("window_out_of_range")
@@ -601,14 +610,10 @@ int RunMultiusage(const Args& args, Workspace& ws) {
         .U64("windows", ws.windows.size());
     return 1;
   }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) return 1;
-  auto sigs = ws.Signatures(**scheme, window);
-  MultiusageDetector detector(
-      SignatureDistance(*dist),
-      {.threshold = args.GetDouble("threshold", 0.5),
-       .max_pairs = args.GetInt("max-pairs", 50)});
+  auto sigs = ws.Signatures(*cmp.scheme, window);
+  MultiusageDetector detector(cmp.dist,
+                              {.threshold = args.GetDouble("threshold", 0.5),
+                               .max_pairs = args.GetInt("max-pairs", 50)});
   auto pairs = detector.Detect(ws.focal, sigs);
   std::printf("%zu candidate alias pair(s)\n", pairs.size());
   for (const auto& p : pairs) {
@@ -619,22 +624,18 @@ int RunMultiusage(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunMasquerade(const Args& args, Workspace& ws) {
+int RunMasquerade(const Args& args, Workspace& ws, const Comparison& cmp) {
   size_t w0 = args.GetInt("window", 0);
   size_t w1 = args.GetInt("window2", 1);
   if (w0 >= ws.windows.size() || w1 >= ws.windows.size()) {
     obs::LogError("window_out_of_range").U64("windows", ws.windows.size());
     return 1;
   }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) return 1;
-  auto s0 = ws.Signatures(**scheme, w0);
-  auto s1 = ws.Signatures(**scheme, w1);
+  auto s0 = ws.Signatures(*cmp.scheme, w0);
+  auto s1 = ws.Signatures(*cmp.scheme, w1);
   MasqueradeDetector detector(
-      SignatureDistance(*dist),
-      {.top_ell = args.GetInt("ell", 3),
-       .delta_divisor = args.GetDouble("delta-divisor", 5.0)});
+      cmp.dist, {.top_ell = args.GetInt("ell", 3),
+                 .delta_divisor = args.GetDouble("delta-divisor", 5.0)});
   auto detection = detector.Detect(ws.focal, s0, s1);
   std::printf("delta=%.4f, cleared=%zu, suspected pairs=%zu\n",
               detection.delta, detection.non_suspects.size(),
@@ -647,21 +648,17 @@ int RunMasquerade(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunAnomalies(const Args& args, Workspace& ws) {
+int RunAnomalies(const Args& args, Workspace& ws, const Comparison& cmp) {
   size_t w0 = args.GetInt("window", 0);
   size_t w1 = args.GetInt("window2", 1);
   if (w0 >= ws.windows.size() || w1 >= ws.windows.size()) {
     obs::LogError("window_out_of_range").U64("windows", ws.windows.size());
     return 1;
   }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) return 1;
-  auto s0 = ws.Signatures(**scheme, w0);
-  auto s1 = ws.Signatures(**scheme, w1);
-  auto anomalies =
-      DetectAnomalies(ws.focal, s0, s1, SignatureDistance(*dist),
-                      args.GetDouble("threshold", 2.0));
+  auto s0 = ws.Signatures(*cmp.scheme, w0);
+  auto s1 = ws.Signatures(*cmp.scheme, w1);
+  auto anomalies = DetectAnomalies(ws.focal, s0, s1, cmp.dist,
+                                   args.GetDouble("threshold", 2.0));
   std::printf("%zu anomalies between windows %zu and %zu\n",
               anomalies.size(), w0, w1);
   for (const Anomaly& a : anomalies) {
@@ -1015,6 +1012,12 @@ int RunFaultcheck(const Args& args) {
 }
 
 int RunTimeline(const Args& args) {
+  auto cmp = ComparisonFor(args);
+  if (!cmp.ok()) {
+    obs::LogError("bad_scheme_or_distance")
+        .Str("error", cmp.status().ToString());
+    return 1;
+  }
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
@@ -1048,15 +1051,6 @@ int RunTimeline(const Args& args) {
     }
   }
 
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) {
-    obs::LogError("bad_scheme_or_distance")
-        .Str("scheme_status",
-             scheme.ok() ? "ok" : scheme.status().ToString())
-        .Str("dist_status", dist.ok() ? "ok" : dist.status().ToString());
-    return 1;
-  }
   SignatureTimelineOptions topts;
   const std::string mode = args.Get("mode", "incremental");
   if (mode == "incremental") {
@@ -1067,17 +1061,18 @@ int RunTimeline(const Args& args) {
     DieInvalidFlag("mode", mode, "incremental | scratch");
   }
 
-  auto per_window = ComputeSignatureTimeline(**scheme, windows, focal, topts);
+  auto per_window =
+      ComputeSignatureTimeline(*cmp->scheme, windows, focal, topts);
   const double overlap =
       1.0 - static_cast<double>(stride) / static_cast<double>(window_length);
   std::printf("scheme=%s dist=%s windows=%zu stride=%llu overlap=%.2f "
               "mode=%s focal=%zu\n",
-              (*scheme)->name().c_str(),
-              std::string(DistanceName(*dist)).c_str(), windows.size(),
+              cmp->scheme->name().c_str(),
+              std::string(cmp->dist.name()).c_str(), windows.size(),
               static_cast<unsigned long long>(stride), overlap, mode.c_str(),
               focal.size());
 
-  SignatureDistance d(*dist);
+  const SignatureDistance& d = cmp->dist;
   const uint64_t persist_begin_us = NowMicros();
   for (const TransitionStats& t : PersistencePerTransition(per_window, d)) {
     std::printf("transition %zu->%zu  persistence %.4f +- %.4f\n",
@@ -1236,15 +1231,27 @@ int Main(int argc, char** argv) {
          : args.command == "faultcheck" ? RunFaultcheck(args)
          : args.command == "chaoscheck" ? RunChaoscheck(args)
                                         : RunTimeline(args);
-  } else {
+  } else if (args.command == "signatures") {
     Workspace ws;
     if (!Load(args, ws)) return 1;
-    if (args.command == "signatures") rc = RunSignatures(args, ws);
-    else if (args.command == "selfmatch") rc = RunSelfMatch(args, ws);
-    else if (args.command == "multiusage") rc = RunMultiusage(args, ws);
-    else if (args.command == "masquerade") rc = RunMasquerade(args, ws);
-    else if (args.command == "anomalies") rc = RunAnomalies(args, ws);
-    else return Usage();
+    rc = RunSignatures(args, ws);
+  } else {
+    using CompareCommand = int (*)(const Args&, Workspace&, const Comparison&);
+    const CompareCommand run = args.command == "selfmatch"    ? RunSelfMatch
+                               : args.command == "multiusage" ? RunMultiusage
+                               : args.command == "masquerade" ? RunMasquerade
+                               : args.command == "anomalies"  ? RunAnomalies
+                                                              : nullptr;
+    if (run == nullptr) return Usage();
+    auto cmp = ComparisonFor(args);
+    if (!cmp.ok()) {
+      obs::LogError("bad_scheme_or_distance")
+          .Str("error", cmp.status().ToString());
+      return 1;
+    }
+    Workspace ws;
+    if (!Load(args, ws)) return 1;
+    rc = run(args, ws, *cmp);
   }
 
   // Final export failures are already logged inside; they don't override
