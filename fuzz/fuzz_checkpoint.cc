@@ -3,7 +3,10 @@
 //      CheckpointManager::LoadLatest on a staged file, and
 //   2. the payload decoders (StreamingSignatureBuilder and each sketch)
 //      fed the raw input directly, bypassing the CRC that would otherwise
-//      reject most mutations before the decoders ever see them.
+//      reject most mutations before the decoders ever see them, and
+//   3. the ByteReader bulk array reads the FM and Count-Min decoders use,
+//      with an input-chosen element count.
+// tests/data/corpus/golden_stream.ckpt is a valid frame to mutate from.
 // The property under test is "no crash / no sanitizer report".
 
 #include <unistd.h>
@@ -14,6 +17,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 #include "graph/windower.h"
@@ -70,6 +74,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   {
     commsig::ByteReader in(bytes);
     (void)commsig::TraceWindower::FromBytes(in);
+  }
+  {
+    commsig::ByteReader in(bytes);
+    commsig::Result<uint8_t> count = in.U8();
+    if (count.ok()) {
+      std::vector<uint64_t> ints(*count);
+      std::vector<double> reals(*count);
+      (void)in.U64Array(ints);
+      (void)in.DoubleArray(reals);
+    }
   }
   return 0;
 }

@@ -331,7 +331,8 @@ void PreRegisterCoreMetrics() {
        {"pipeline/window_total_us", "pipeline/parse_us",
         "pipeline/window_build_us", "pipeline/delta_diff_us",
         "pipeline/dirty_recompute_us", "pipeline/extract_us",
-        "robust/checkpoint_bytes", "rwr/residual_at_convergence",
+        "robust/checkpoint_bytes", "robust/checkpoint_save_us",
+        "rwr/residual_at_convergence",
         "signature/candidates", "windower/window_events",
         "ingest/batch_records"}) {
     reg.GetHistogram(name);

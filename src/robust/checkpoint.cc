@@ -3,15 +3,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 #include <vector>
 
 #include "obs/log.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "robust/failpoints.h"
 
 namespace commsig {
@@ -22,6 +24,8 @@ namespace fs = std::filesystem;
 
 constexpr uint32_t kMagic = 0x43534350;  // "PCSC" little-endian: CSCP
 constexpr uint32_t kFormatVersion = 1;
+/// magic (4) | version (4) | sequence (8) | payload length (8) | CRC (4).
+constexpr size_t kHeaderBytes = 28;
 
 /// Extracts the sequence number from `<stem>.<seq>.ckpt`, or returns false.
 bool ParseSequence(const std::string& name, const std::string& stem,
@@ -46,15 +50,23 @@ bool ParseSequence(const std::string& name, const std::string& stem,
 }
 
 Result<CheckpointData> ParseCheckpointFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) {
     return Status::IOError("cannot open " + path.string());
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read error on " + path.string());
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0);
+  if (file_size < 0 || !in) {
+    return Status::IOError("read error on " + path.string());
+  }
+  char header[kHeaderBytes];
+  const size_t header_size =
+      std::min<uint64_t>(static_cast<uint64_t>(file_size), kHeaderBytes);
+  if (!in.read(header, static_cast<std::streamsize>(header_size))) {
+    return Status::IOError("read error on " + path.string());
+  }
 
-  ByteReader reader(bytes);
+  ByteReader reader(std::string_view(header, header_size));
   Result<uint32_t> magic = reader.U32();
   if (!magic.ok()) return magic.status();
   if (*magic != kMagic) {
@@ -72,18 +84,71 @@ Result<CheckpointData> ParseCheckpointFile(const fs::path& path) {
   if (!length.ok()) return length.status();
   Result<uint32_t> crc = reader.U32();
   if (!crc.ok()) return crc.status();
-  if (*length != reader.remaining()) {
+  if (*length != static_cast<uint64_t>(file_size) - kHeaderBytes) {
     return Status::Corruption("checkpoint payload truncated in " +
                               path.string());
   }
-  std::string payload = bytes.substr(bytes.size() - *length);
-  if (Crc32(payload) != *crc) {
-    return Status::Corruption("checkpoint CRC mismatch in " + path.string());
-  }
+  // The payload is read straight into the string the caller gets.
   CheckpointData data;
   data.sequence = *sequence;
-  data.payload = std::move(payload);
+  data.payload.resize(*length);
+  if (!in.read(data.payload.data(), static_cast<std::streamsize>(*length))) {
+    return Status::IOError("read error on " + path.string());
+  }
+  if (Crc32(data.payload) != *crc) {
+    return Status::Corruption("checkpoint CRC mismatch in " + path.string());
+  }
   return data;
+}
+
+/// Streams the payload into the temporary file and keeps the running
+/// length and CRC the frame header needs.
+class PayloadSink : public ByteSink {
+ public:
+  explicit PayloadSink(int fd) : out_("checkpoint/write", fd) {}
+
+  Status Write(std::string_view chunk, bool last) override {
+    crc_ = Crc32Extend(crc_, chunk);
+    length_ += chunk.size();
+    return out_.Write(chunk, last);
+  }
+
+  uint64_t length() const { return length_; }
+  uint32_t crc() const { return crc_; }
+
+ private:
+  failpoints::ChunkedWrite out_;
+  uint64_t length_ = 0;
+  uint32_t crc_ = 0;
+};
+
+/// Writes the frame into `fd`: the payload chunk by chunk from offset
+/// kHeaderBytes, then the header — whose length and CRC are known only
+/// now — at offset 0. Two "checkpoint/write" hits, whatever the size.
+Status WriteFrame(int fd, uint64_t sequence,
+                  const std::function<void(ByteWriter&)>& encode,
+                  uint64_t* frame_bytes) {
+  if (::lseek(fd, kHeaderBytes, SEEK_SET) < 0) {
+    return Status::IOError(std::string("lseek: ") + std::strerror(errno));
+  }
+  PayloadSink sink(fd);
+  ByteWriter payload(&sink);
+  encode(payload);
+  Status s = payload.Finish();
+  if (!s.ok()) return s;
+
+  ByteWriter header;
+  header.PutU32(kMagic);
+  header.PutU32(kFormatVersion);
+  header.PutU64(sequence);
+  header.PutU64(sink.length());
+  header.PutU32(sink.crc());
+  if (::lseek(fd, 0, SEEK_SET) < 0) {
+    return Status::IOError(std::string("lseek: ") + std::strerror(errno));
+  }
+  *frame_bytes = header.size() + sink.length();
+  return failpoints::WriteAll("checkpoint/write", fd, header.bytes().data(),
+                              header.size());
 }
 
 }  // namespace
@@ -102,6 +167,22 @@ std::string CheckpointManager::FileName(uint64_t sequence) const {
 }
 
 Status CheckpointManager::Save(uint64_t sequence, std::string_view payload) {
+  return Save(sequence, [payload](ByteWriter& out) { out.PutBytes(payload); });
+}
+
+Status CheckpointManager::Save(
+    uint64_t sequence, const std::function<void(ByteWriter&)>& encode) {
+  COMMSIG_SPAN("robust/checkpoint_save");
+  const obs::TraceCollector& clock = obs::TraceCollector::Global();
+  const uint64_t start_us = clock.NowMicros();
+  Status s = WriteCheckpoint(sequence, encode);
+  COMMSIG_HISTOGRAM_OBSERVE("robust/checkpoint_save_us",
+                            clock.NowMicros() - start_us);
+  return s;
+}
+
+Status CheckpointManager::WriteCheckpoint(
+    uint64_t sequence, const std::function<void(ByteWriter&)>& encode) {
   MutexLock lock(io_mutex_);
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -109,13 +190,6 @@ Status CheckpointManager::Save(uint64_t sequence, std::string_view payload) {
     return Status::IOError("cannot create checkpoint dir " + dir_ + ": " +
                            ec.message());
   }
-
-  ByteWriter frame;
-  frame.PutU32(kMagic);
-  frame.PutU32(kFormatVersion);
-  frame.PutU64(sequence);
-  frame.PutU64(payload.size());
-  frame.PutU32(Crc32(payload));
 
   // The durable-write dance, each step through the fail-point layer:
   // write tmp, fsync tmp (the bytes), rename into place, fsync the
@@ -127,12 +201,8 @@ Status CheckpointManager::Save(uint64_t sequence, std::string_view payload) {
   Result<int> fd = failpoints::OpenForWrite("checkpoint/open",
                                             tmp_path.string());
   if (!fd.ok()) return fd.status();
-  Status io = failpoints::WriteAll("checkpoint/write", *fd,
-                                   frame.bytes().data(), frame.size());
-  if (io.ok()) {
-    io = failpoints::WriteAll("checkpoint/write", *fd, payload.data(),
-                              payload.size());
-  }
+  uint64_t frame_bytes = 0;
+  Status io = WriteFrame(*fd, sequence, encode, &frame_bytes);
   if (io.ok()) io = failpoints::FsyncFd("checkpoint/fsync", *fd);
   ::close(*fd);
   if (io.ok()) {
@@ -147,8 +217,7 @@ Status CheckpointManager::Save(uint64_t sequence, std::string_view payload) {
     return io;
   }
   COMMSIG_COUNTER_ADD("robust/checkpoints_saved", 1);
-  COMMSIG_HISTOGRAM_OBSERVE("robust/checkpoint_bytes",
-                            frame.size() + payload.size());
+  COMMSIG_HISTOGRAM_OBSERVE("robust/checkpoint_bytes", frame_bytes);
 
   // Prune: keep the newest `keep` checkpoints.
   std::vector<uint64_t> sequences;

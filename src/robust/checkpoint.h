@@ -2,6 +2,7 @@
 #define COMMSIG_ROBUST_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -30,8 +31,11 @@ struct CheckpointData {
 /// a temporary name, fsynced, atomically renamed into place, and made
 /// durable with a directory fsync — a crash mid-write leaves at most a
 /// stray .tmp, never a half-written checkpoint under the live name, and a
-/// power cut after a successful Save cannot lose the frame. Every IO step
-/// runs through the robust/failpoints layer so tests and `commsig
+/// power cut after a successful Save cannot lose the frame. The payload is
+/// encoded straight into the temporary file one ByteWriter chunk at a time,
+/// with the CRC extended per chunk, and the 28-byte header goes in last at
+/// offset 0 — so saving never holds the whole payload in memory. Every IO
+/// step runs through the robust/failpoints layer so tests and `commsig
 /// chaoscheck` can tear any of them deterministically. LoadLatest walks
 /// checkpoints newest-first and returns the first that passes framing +
 /// CRC validation, so a torn or bit-flipped newest file falls back to the
@@ -59,9 +63,17 @@ class CheckpointManager {
   explicit CheckpointManager(std::string dir) : CheckpointManager(std::move(dir), Options()) {}
   CheckpointManager(std::string dir, Options options);
 
-  /// Atomically persists `payload` as checkpoint `sequence` (monotonically
-  /// increasing, caller-chosen; the event count works well). Creates the
-  /// directory if needed and prunes checkpoints beyond `keep`.
+  /// Atomically persists checkpoint `sequence` (monotonically increasing,
+  /// caller-chosen; the event count works well) with the payload `encode`
+  /// writes into the streaming ByteWriter it is handed. Creates the
+  /// directory if needed and prunes checkpoints beyond `keep`. A retried
+  /// Save calls `encode` again, so it must write the same bytes every
+  /// time; it runs under the manager's lock and must not call back in.
+  Status Save(uint64_t sequence,
+              const std::function<void(ByteWriter&)>& encode)
+      COMMSIG_EXCLUDES(io_mutex_);
+
+  /// Save of a payload already in memory, through the same write path.
   Status Save(uint64_t sequence, std::string_view payload)
       COMMSIG_EXCLUDES(io_mutex_);
 
@@ -73,6 +85,9 @@ class CheckpointManager {
 
  private:
   std::string FileName(uint64_t sequence) const;
+  Status WriteCheckpoint(uint64_t sequence,
+                         const std::function<void(ByteWriter&)>& encode)
+      COMMSIG_EXCLUDES(io_mutex_);
 
   std::string dir_;
   Options options_;

@@ -228,18 +228,26 @@ Result<int> OpenForWrite(std::string_view site, const std::string& path) {
 
 Status WriteAll(std::string_view site, int fd, const char* data,
                 size_t size) {
-  const FailPointKind kind = Eval(site);
+  return ChunkedWrite(site, fd).Write(std::string_view(data, size),
+                                      /*last=*/true);
+}
+
+ChunkedWrite::ChunkedWrite(std::string_view site, int fd)
+    : site_(site), fd_(fd), kind_(Eval(site)) {}
+
+Status ChunkedWrite::Write(std::string_view chunk, bool last) {
+  const FailPointKind kind = last ? kind_ : FailPointKind::kOff;
   if (kind == FailPointKind::kEio || kind == FailPointKind::kEnospc ||
       kind == FailPointKind::kFsyncFail) {
-    return InjectedStatus(site, kind);
+    return InjectedStatus(site_, kind);
   }
   // A short write persists a prefix — the torn state a real ENOSPC or
   // signal-interrupted writer leaves behind — and then reports failure.
   const size_t to_write =
-      kind == FailPointKind::kShortWrite ? size / 2 : size;
+      kind == FailPointKind::kShortWrite ? chunk.size() / 2 : chunk.size();
   size_t written = 0;
   while (written < to_write) {
-    const ssize_t n = ::write(fd, data + written, to_write - written);
+    const ssize_t n = ::write(fd_, chunk.data() + written, to_write - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("write: ") + std::strerror(errno));
@@ -247,9 +255,9 @@ Status WriteAll(std::string_view site, int fd, const char* data,
     written += static_cast<size_t>(n);
   }
   if (kind == FailPointKind::kShortWrite) {
-    return Status::IOError("injected short write at " + std::string(site) +
+    return Status::IOError("injected short write at " + std::string(site_) +
                            " (" + std::to_string(to_write) + "/" +
-                           std::to_string(size) + " bytes)");
+                           std::to_string(chunk.size()) + " bytes)");
   }
   return Status::OK();
 }

@@ -127,6 +127,27 @@ Result<int> OpenForWrite(std::string_view site, const std::string& path);
 /// returns IOError; kEio/kEnospc fail before writing anything.
 Status WriteAll(std::string_view site, int fd, const char* data, size_t size);
 
+/// WriteAll for data that arrives chunk by chunk (a streamed encode),
+/// written at the file's current offset. `site` is evaluated once, at
+/// construction, so a stream counts one hit however many chunks it spans
+/// and seeded schedules such as `enospc@2` keep counting writes, not
+/// chunks. A firing fault strikes at the last chunk, after the earlier
+/// ones are on disk — the torn tail a disk filling up mid-write leaves:
+/// kShortWrite persists half of that chunk, kEio/kEnospc none of it, and
+/// both then return IOError. `site` must outlive the writer.
+class ChunkedWrite {
+ public:
+  ChunkedWrite(std::string_view site, int fd);
+
+  /// Writes `chunk`; `last` marks the final one.
+  Status Write(std::string_view chunk, bool last);
+
+ private:
+  std::string_view site_;
+  int fd_;
+  FailPointKind kind_;
+};
+
 /// fsync(2). kFsyncFail (or kEio/kEnospc) reports failure.
 Status FsyncFd(std::string_view site, int fd);
 

@@ -267,13 +267,15 @@ void StreamSupervisor::RunEpoch(const std::vector<TraceEvent>& events,
 
 void StreamSupervisor::SaveCheckpoint(uint64_t consumed, uint64_t fingerprint,
                                       StreamRunReport& report) {
-  ByteWriter out;
-  out.PutU64(fingerprint);
-  out.PutU64(consumed);
-  builder_->AppendTo(out);
-  const std::string& payload = out.bytes();
+  // Encoded straight into the checkpoint file; a retry re-encodes the
+  // same (unchanged) builder state.
+  auto encode = [&](ByteWriter& out) {
+    out.PutU64(fingerprint);
+    out.PutU64(consumed);
+    builder_->AppendTo(out);
+  };
   Status s = retrier_.Run("checkpoint_save", [&]() {
-    return manager_->Save(consumed, payload);
+    return manager_->Save(consumed, encode);
   });
   if (s.ok()) {
     ++report.checkpoints_saved;

@@ -58,7 +58,7 @@ void CountMinSketch::AppendTo(ByteWriter& out) const {
   out.PutU64(depth_);
   out.PutU64(seed_);
   out.PutDouble(total_);
-  for (double v : table_) out.PutDouble(v);
+  out.PutDoubleArray(table_);
 }
 
 Result<CountMinSketch> CountMinSketch::FromBytes(ByteReader& in) {
@@ -81,13 +81,12 @@ Result<CountMinSketch> CountMinSketch::FromBytes(ByteReader& in) {
   }
   CountMinSketch sketch(*width, *depth, *seed);
   sketch.total_ = *total;
-  for (double& cell : sketch.table_) {
-    Result<double> v = in.Double();
-    if (!v.ok()) return v.status();
-    if (!std::isfinite(*v) || *v < 0.0) {
+  Status s = in.DoubleArray(sketch.table_);
+  if (!s.ok()) return s;
+  for (double cell : sketch.table_) {
+    if (!std::isfinite(cell) || cell < 0.0) {
       return Status::Corruption("non-finite CountMinSketch counter");
     }
-    cell = *v;
   }
   return sketch;
 }

@@ -58,7 +58,7 @@ double FmSketch::Estimate() const {
 void FmSketch::AppendTo(ByteWriter& out) const {
   out.PutU64(bitmaps_.size());
   out.PutU64(seed_);
-  for (uint64_t bitmap : bitmaps_) out.PutU64(bitmap);
+  out.PutU64Array(bitmaps_);
 }
 
 Result<FmSketch> FmSketch::FromBytes(ByteReader& in) {
@@ -71,11 +71,8 @@ Result<FmSketch> FmSketch::FromBytes(ByteReader& in) {
     return Status::Corruption("invalid FmSketch bitmap count");
   }
   FmSketch sketch(*num_bitmaps, *seed);
-  for (uint64_t& bitmap : sketch.bitmaps_) {
-    Result<uint64_t> v = in.U64();
-    if (!v.ok()) return v.status();
-    bitmap = *v;
-  }
+  Status s = in.U64Array(sketch.bitmaps_);
+  if (!s.ok()) return s;
   return sketch;
 }
 

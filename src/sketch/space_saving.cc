@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -56,12 +57,11 @@ void SpaceSaving::AppendTo(ByteWriter& out) const {
   out.PutU64(capacity_);
   out.PutDouble(total_);
   out.PutU64(counters_.size());
-  std::vector<uint64_t> keys;
-  keys.reserve(counters_.size());
-  for (const auto& [key, counter] : counters_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (uint64_t key : keys) {
-    const Counter& c = counters_.at(key);
+  std::vector<std::pair<uint64_t, Counter>> entries(counters_.begin(),
+                                                    counters_.end());
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [key, c] : entries) {
     out.PutU64(key);
     out.PutDouble(c.count);
     out.PutDouble(c.error);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -12,8 +13,8 @@ StreamingSignatureBuilder::StreamingSignatureBuilder(
     : options_(options),
       edge_volumes_(options.cm_width, options.cm_depth, options.seed) {
   for (NodeId v : focal_nodes) {
-    per_focal_.emplace(v, SpaceSaving(options_.heavy_hitter_capacity));
-    out_volume_.emplace(v, 0.0);
+    per_focal_.emplace(
+        v, FocalState{SpaceSaving(options_.heavy_hitter_capacity), 0.0});
   }
 }
 
@@ -28,8 +29,8 @@ void StreamingSignatureBuilder::Observe(const TraceEvent& event) {
 
   auto focal_it = per_focal_.find(event.src);
   if (focal_it == per_focal_.end()) return;
-  focal_it->second.Add(event.dst, event.weight);
-  out_volume_[event.src] += event.weight;
+  focal_it->second.summary.Add(event.dst, event.weight);
+  focal_it->second.out_volume += event.weight;
   edge_volumes_.Add(CountMinSketch::EdgeKey(event.src, event.dst),
                     event.weight);
   ++focal_version_[event.src];
@@ -44,11 +45,11 @@ Signature StreamingSignatureBuilder::ExtractTopTalkers(NodeId focal,
                                                        size_t k) const {
   auto it = per_focal_.find(focal);
   if (it == per_focal_.end()) return Signature();
-  const double total = out_volume_.at(focal);
+  const double total = it->second.out_volume;
   if (total <= 0.0) return Signature();
 
   std::vector<Signature::Entry> candidates;
-  for (const SpaceSaving::Item& item : it->second.Items()) {
+  for (const SpaceSaving::Item& item : it->second.summary.Items()) {
     NodeId dst = static_cast<NodeId>(item.key);
     if (dst == focal) continue;
     candidates.push_back({dst, item.count / total});
@@ -77,7 +78,7 @@ Signature StreamingSignatureBuilder::ExtractUnexpectedTalkers(
   if (it == per_focal_.end()) return Signature();
 
   std::vector<Signature::Entry> candidates;
-  for (const SpaceSaving::Item& item : it->second.Items()) {
+  for (const SpaceSaving::Item& item : it->second.summary.Items()) {
     NodeId dst = static_cast<NodeId>(item.key);
     if (dst == focal) continue;
     double volume =
@@ -108,14 +109,16 @@ Signature StreamingSignatureBuilder::UnexpectedTalkers(NodeId focal,
 
 namespace {
 
-// Key-sorted iteration order for deterministic checkpoint bytes.
+// Key-sorted (key, value) views for deterministic checkpoint bytes.
 template <typename Map>
-std::vector<NodeId> SortedKeys(const Map& map) {
-  std::vector<NodeId> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+std::vector<std::pair<NodeId, const typename Map::mapped_type*>>
+SortedEntries(const Map& map) {
+  std::vector<std::pair<NodeId, const typename Map::mapped_type*>> entries;
+  entries.reserve(map.size());
+  for (const auto& [key, value] : map) entries.emplace_back(key, &value);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return entries;
 }
 
 }  // namespace
@@ -129,18 +132,18 @@ void StreamingSignatureBuilder::AppendTo(ByteWriter& out) const {
   out.PutU64(events_observed_);
 
   out.PutU64(per_focal_.size());
-  for (NodeId focal : SortedKeys(per_focal_)) {
+  for (const auto& [focal, state] : SortedEntries(per_focal_)) {
     out.PutU32(focal);
-    out.PutDouble(out_volume_.at(focal));
-    per_focal_.at(focal).AppendTo(out);
+    out.PutDouble(state->out_volume);
+    state->summary.AppendTo(out);
   }
 
   edge_volumes_.AppendTo(out);
 
   out.PutU64(in_degree_.size());
-  for (NodeId dst : SortedKeys(in_degree_)) {
+  for (const auto& [dst, sketch] : SortedEntries(in_degree_)) {
     out.PutU32(dst);
-    in_degree_.at(dst).AppendTo(out);
+    sketch->AppendTo(out);
   }
 }
 
@@ -194,10 +197,11 @@ Result<StreamingSignatureBuilder> StreamingSignatureBuilder::FromBytes(
     }
     Result<SpaceSaving> summary = SpaceSaving::FromBytes(in);
     if (!summary.ok()) return summary.status();
-    if (!builder.per_focal_.emplace(*focal, *std::move(summary)).second) {
+    if (!builder.per_focal_
+             .emplace(*focal, FocalState{*std::move(summary), *volume})
+             .second) {
       return Status::Corruption("duplicate focal node");
     }
-    builder.out_volume_.emplace(*focal, *volume);
   }
 
   Result<CountMinSketch> edge_volumes = CountMinSketch::FromBytes(in);
@@ -224,8 +228,8 @@ size_t StreamingSignatureBuilder::MemoryBytes() const {
     bytes += sketch.MemoryBytes();
   }
   // SpaceSaving summaries: key + counter pair per tracked entry.
-  for (const auto& [node, summary] : per_focal_) {
-    bytes += summary.size() * (sizeof(uint64_t) + 2 * sizeof(double));
+  for (const auto& [node, state] : per_focal_) {
+    bytes += state.summary.size() * (sizeof(uint64_t) + 2 * sizeof(double));
   }
   return bytes;
 }

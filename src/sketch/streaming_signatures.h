@@ -99,8 +99,13 @@ class StreamingSignatureBuilder {
   Signature ExtractUnexpectedTalkers(NodeId focal, size_t k) const;
 
   Options options_;
-  std::unordered_map<NodeId, SpaceSaving> per_focal_;
-  std::unordered_map<NodeId, double> out_volume_;
+  /// Per focal node: its outgoing-edge summary and total out-volume.
+  struct FocalState {
+    SpaceSaving summary;
+    double out_volume = 0.0;
+  };
+
+  std::unordered_map<NodeId, FocalState> per_focal_;
   CountMinSketch edge_volumes_;
   std::unordered_map<NodeId, FmSketch> in_degree_;
   uint64_t events_observed_ = 0;

@@ -2,12 +2,17 @@
 // adversarial decoding: every FromBytes must return Corruption — never
 // crash, hang, or over-allocate — on truncated or bit-flipped bytes.
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "graph/windower.h"
 #include "sketch/count_min.h"
@@ -72,6 +77,140 @@ TEST(ByteRoundTrip, OversizedStringLengthRejected) {
   out.PutU32(0);
   ByteReader in(out.bytes());
   EXPECT_TRUE(in.String().status().IsCorruption());
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven kernel must agree with.
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t c = 0xffffffffu;
+  for (char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, ExtendOverRandomSplitsMatchesOneShotAndBitwise) {
+  Rng rng(11);
+  for (size_t size : {0, 1, 7, 8, 9, 63, 64, 1000, 4099}) {
+    std::string data(size, '\0');
+    for (char& c : data) c = static_cast<char>(rng.UniformInt(256));
+    const uint32_t expected = BitwiseCrc32(data);
+    ASSERT_EQ(Crc32(data), expected) << size;
+    for (int trial = 0; trial < 20; ++trial) {
+      uint32_t crc = 0;
+      size_t pos = 0;
+      while (pos < size) {
+        const size_t n = 1 + rng.UniformInt(std::min<size_t>(size - pos, 97));
+        crc = Crc32Extend(crc, std::string_view(data).substr(pos, n));
+        pos += n;
+      }
+      EXPECT_EQ(crc, expected) << size;
+    }
+    // Empty pieces are no-ops wherever they fall.
+    EXPECT_EQ(Crc32Extend(Crc32(data), ""), expected);
+  }
+}
+
+TEST(ByteRoundTrip, ArrayPutsMatchElementPuts) {
+  const std::vector<uint64_t> ints = {0, 1, 0x0123456789abcdefull,
+                                      ~uint64_t{0}, 1ull << 63};
+  const std::vector<double> reals = {0.0, -0.0, 1.5, -2.25, 1e300,
+                                     std::numeric_limits<double>::infinity()};
+  ByteWriter bulk, each;
+  bulk.PutU32(7);
+  bulk.PutU64Array(ints);
+  bulk.PutDoubleArray(reals);
+  bulk.PutU64Array({});
+  each.PutU32(7);
+  for (uint64_t v : ints) each.PutU64(v);
+  for (double v : reals) each.PutDouble(v);
+  EXPECT_EQ(bulk.bytes(), each.bytes());
+
+  ByteReader in(bulk.bytes());
+  ASSERT_TRUE(in.U32().ok());
+  std::vector<uint64_t> ints_back(ints.size());
+  std::vector<double> reals_back(reals.size());
+  ASSERT_TRUE(in.U64Array(ints_back).ok());
+  ASSERT_TRUE(in.DoubleArray(reals_back).ok());
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(ints_back, ints);
+  for (size_t i = 0; i < reals.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(reals_back[i]),
+              std::bit_cast<uint64_t>(reals[i]));
+  }
+}
+
+TEST(ByteRoundTrip, ArrayReadsPastEndAreCorruptionAndConsumeNothing) {
+  ByteWriter out;
+  out.PutU64Array(std::vector<uint64_t>{1, 2, 3});
+  out.PutU8(9);
+  ByteReader in(out.bytes());
+  std::vector<uint64_t> four(4);
+  EXPECT_TRUE(in.U64Array(four).IsCorruption());
+  EXPECT_EQ(in.remaining(), out.size());
+  std::vector<double> too_many(out.size());
+  EXPECT_TRUE(in.DoubleArray(too_many).IsCorruption());
+  std::vector<uint64_t> three(3);
+  ASSERT_TRUE(in.U64Array(three).ok());
+  EXPECT_EQ(three, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(*in.U8(), 9u);
+}
+
+// Collects a streaming writer's chunks.
+class CollectingSink : public ByteSink {
+ public:
+  Status Write(std::string_view chunk, bool last) override {
+    chunks.emplace_back(chunk);
+    EXPECT_FALSE(finished) << "chunk after the last one";
+    finished = last;
+    return Status::OK();
+  }
+  std::vector<std::string> chunks;
+  bool finished = false;
+};
+
+TEST(ByteRoundTrip, StreamingWriterEmitsFixedChunksOfTheSameBytes) {
+  std::vector<uint64_t> big(ByteWriter::kChunkBytes / 8 * 2 + 5);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = SplitMix64(i);
+  auto encode = [&](ByteWriter& out) {
+    out.PutU8(1);
+    out.PutU64Array(big);
+    out.PutString(std::string(ByteWriter::kChunkBytes + 3, 'z'));
+    out.PutDouble(0.5);
+  };
+  ByteWriter memory;
+  encode(memory);
+  CollectingSink sink;
+  ByteWriter streamed(&sink);
+  encode(streamed);
+  ASSERT_TRUE(streamed.Finish().ok());
+  ASSERT_TRUE(sink.finished);
+  ASSERT_GE(sink.chunks.size(), 4u);
+  std::string joined;
+  for (size_t i = 0; i < sink.chunks.size(); ++i) {
+    if (i + 1 < sink.chunks.size()) {
+      EXPECT_EQ(sink.chunks[i].size(), ByteWriter::kChunkBytes) << i;
+    }
+    joined += sink.chunks[i];
+  }
+  EXPECT_EQ(joined, memory.bytes());
+}
+
+TEST(ByteRoundTrip, StreamingWriterStopsAtTheFirstSinkError) {
+  class FailingSink : public ByteSink {
+   public:
+    Status Write(std::string_view, bool) override {
+      ++calls;
+      return calls == 2 ? Status::IOError("disk full") : Status::OK();
+    }
+    int calls = 0;
+  } sink;
+  ByteWriter out(&sink);
+  out.PutBytes(std::string(ByteWriter::kChunkBytes * 4, 'x'));
+  Status s = out.Finish();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(sink.calls, 2);
 }
 
 TEST(CountMinRoundTrip, PreservesEstimates) {
