@@ -1,6 +1,7 @@
-// Sustained ingestion throughput: the staged parallel pipeline and the
-// allocation-free serial readers vs a faithful copy of the pre-pipeline
-// read path, on synthetic trace-CSV and NetFlow v5 corpora. Emits
+// Sustained ingestion throughput: the ingestion pipeline, inline
+// (parse_workers = 0, the production default, reported as "serial
+// optimized") and threaded, vs a faithful copy of the pre-pipeline read
+// path, on synthetic trace-CSV and NetFlow v5 corpora. Emits
 // events/sec per reader variant and per pipeline stage plus the headline
 // gauges `ingest/<fmt>_serial_opt_speedup` and
 // `ingest/<fmt>_pipeline4_speedup` into BENCH_ingest.json — the numbers
@@ -14,9 +15,8 @@
 // unordered_map<string, NodeId> interner that copies every label on every
 // lookup. They are kept here — not imported — precisely so the baseline
 // cannot silently inherit later optimizations. An equivalence gate compares
-// events, id assignment, and label order against both the optimized serial
-// readers and the pipeline before anything is timed: a speedup over a
-// wrong baseline is worthless.
+// events, id assignment, and label order against every pipeline variant
+// before anything is timed: a speedup over a wrong baseline is worthless.
 //
 // All variants re-read the input file each repetition with a fresh
 // interner (interning is part of the measured cost); one untimed warmup
@@ -40,7 +40,6 @@
 #include "bench/bench_common.h"
 #include "common/interner.h"
 #include "data/netflow.h"
-#include "data/trace_io.h"
 #include "ingest/chunker.h"
 #include "ingest/pipeline.h"
 #include "ingest/record_batch.h"
@@ -421,32 +420,14 @@ FormatReport BenchFormat(const std::string& name, const std::string& path,
     labels = CopyLabels(interner);
     return true;
   };
-  auto serial_body = [&](std::vector<TraceEvent>& events,
-                         std::vector<std::string>& labels) {
-    Interner interner;
-    if (netflow) {
-      Result<std::vector<NetflowV5Record>> records =
-          ReadNetflowV5File(path, IngestOptions{});
-      if (!records.ok()) return false;
-      NetflowReadOptions opts;
-      opts.weighting = NetflowWeighting::kOctets;
-      events = NetflowToEvents(*records, interner, opts);
-    } else {
-      Result<std::vector<TraceEvent>> read =
-          ReadTraceCsv(path, interner, IngestOptions{});
-      if (!read.ok()) return false;
-      events = std::move(*read);
-    }
-    labels = CopyLabels(interner);
-    return true;
-  };
   constexpr int kWorkerSweep[] = {1, 2, 4, 8};
   ingest::PipelineStats stats[4];
-  auto pipeline_body = [&](int sweep_idx, std::vector<TraceEvent>& events,
+  auto pipeline_body = [&](int workers, ingest::PipelineStats* stats_out,
+                           std::vector<TraceEvent>& events,
                            std::vector<std::string>& labels) {
     Interner interner;
     ingest::PipelineOptions options;
-    options.parse_workers = kWorkerSweep[sweep_idx];
+    options.parse_workers = workers;
     // Deeper queues than the default: the bench replays from page cache, so
     // the framer runs far ahead of the parse workers and a shallow queue
     // turns that into blocking churn rather than useful buffering.
@@ -456,11 +437,17 @@ FormatReport BenchFormat(const std::string& name, const std::string& path,
         path,
         netflow ? ingest::PipelineFormat::kNetflowV5
                 : ingest::PipelineFormat::kTraceCsv,
-        interner, options, &stats[sweep_idx]);
+        interner, options, stats_out);
     if (!read.ok()) return false;
     events = std::move(*read);
     labels = CopyLabels(interner);
     return true;
+  };
+  // The production default: the pipeline inline (parse_workers = 0), which
+  // is what ReadTraceCsv and the CLI run.
+  auto serial_body = [&](std::vector<TraceEvent>& events,
+                         std::vector<std::string>& labels) {
+    return pipeline_body(0, nullptr, events, labels);
   };
 
   // Interleaved rounds — every variant runs once per round, so a load
@@ -477,12 +464,12 @@ FormatReport BenchFormat(const std::string& name, const std::string& path,
     for (int i = 0; i < 4; ++i) {
       TimeOnePass([&](std::vector<TraceEvent>& events,
                       std::vector<std::string>& labels) {
-        return pipeline_body(i, events, labels);
+        return pipeline_body(kWorkerSweep[i], &stats[i], events, labels);
       }, timed, pipeline[i]);
     }
   }
   report.events = reference.events.size();
-  RequireEquivalent(reference, serial, "optimized serial reader");
+  RequireEquivalent(reference, serial, "inline pipeline");
 
   const double n = static_cast<double>(report.events);
   report.ref_evps = n / reference.best_sec;

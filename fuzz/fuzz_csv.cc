@@ -1,7 +1,9 @@
 // libFuzzer harness for the CSV ingestion paths: the trace reader (with and
-// without monotonic-time enforcement) and the signature-set reader, under
-// every ErrorPolicy. Inputs are staged through a per-process temp file
-// because the readers are file-based.
+// without monotonic-time enforcement), the edge-list reader and the
+// signature-set reader, under every ErrorPolicy. Each is the ingestion
+// pipeline run inline (parse_workers = 0, the production default). Inputs
+// are staged through a per-process temp file because the readers are
+// file-based.
 
 #include <unistd.h>
 
@@ -13,6 +15,7 @@
 #include "common/interner.h"
 #include "core/signature_io.h"
 #include "data/trace_io.h"
+#include "graph/graph_io.h"
 #include "robust/record_errors.h"
 
 namespace {
@@ -53,6 +56,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       options.error_log = &log;
       commsig::Interner interner;
       (void)commsig::ReadSignatureSetCsv(path, interner, options);
+    }
+    {
+      commsig::RecordErrorLog log;
+      commsig::IngestOptions options;
+      options.policy = policy;
+      options.error_log = &log;
+      commsig::Interner interner;
+      (void)commsig::ReadEdgeListCsv(path, interner, 0, options);
     }
   }
   return 0;

@@ -1,7 +1,9 @@
-// libFuzzer harness for the NetFlow v5 lenient reader. The reader is
-// file-based, so each input is staged through a per-process temp file; the
-// property under test is "no crash / no sanitizer report under any
-// ErrorPolicy", not any particular parse result.
+// libFuzzer harness for NetFlow v5 ingestion: the ingestion pipeline run
+// inline (parse_workers = 0, the production default), with and without
+// header-timestamp monotonicity. The pipeline is file-based, so each input
+// is staged through a per-process temp file; the property under test is
+// "no crash / no sanitizer report under any ErrorPolicy", not any
+// particular parse result.
 
 #include <unistd.h>
 
@@ -10,7 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#include "data/netflow.h"
+#include "common/interner.h"
+#include "ingest/pipeline.h"
 #include "robust/record_errors.h"
 
 namespace {
@@ -35,10 +38,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
        {commsig::ErrorPolicy::kFail, commsig::ErrorPolicy::kSkip,
         commsig::ErrorPolicy::kQuarantine}) {
     commsig::RecordErrorLog log;
-    commsig::IngestOptions options;
-    options.policy = policy;
-    options.error_log = &log;
-    (void)commsig::ReadNetflowV5File(path, options);
+    commsig::ingest::PipelineOptions options;
+    options.ingest.policy = policy;
+    options.ingest.error_log = &log;
+    options.netflow.weighting = commsig::NetflowWeighting::kOctets;
+    commsig::Interner interner;
+    (void)commsig::ingest::ReadTraceEventsPipelined(
+        path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options);
+    options.ingest.require_monotonic_time = true;
+    (void)commsig::ingest::ReadTraceEventsPipelined(
+        path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options);
   }
   return 0;
 }

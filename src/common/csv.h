@@ -11,36 +11,9 @@
 
 namespace commsig {
 
-/// Splits one CSV line on `delim`. Fields are not unescaped (commsig's trace
-/// formats never quote fields); empty fields are preserved.
-std::vector<std::string> SplitCsvLine(std::string_view line, char delim = ',');
-
-/// Minimal line-oriented CSV reader for commsig's trace and edge-list files.
-/// No quoting/escaping support — the on-disk formats are plain delimited
-/// numbers and labels without embedded delimiters.
-class CsvReader {
- public:
-  /// Opens `path`; check `status()` before use.
-  explicit CsvReader(const std::string& path, char delim = ',');
-
-  /// OK if the file opened successfully.
-  const Status& status() const { return status_; }
-
-  /// Reads the next non-empty line into `fields`. Returns false at EOF.
-  /// Lines starting with '#' are skipped as comments.
-  bool Next(std::vector<std::string>& fields);
-
-  /// Number of data lines consumed so far (for error messages).
-  size_t line_number() const { return line_number_; }
-
- private:
-  std::ifstream in_;
-  char delim_;
-  Status status_;
-  size_t line_number_ = 0;
-};
-
-/// Minimal CSV writer matched to CsvReader.
+/// Minimal CSV writer for commsig's trace, edge-list and signature files.
+/// No quoting/escaping — the on-disk formats are plain delimited numbers
+/// and labels without embedded delimiters. ingest/pipeline reads them.
 class CsvWriter {
  public:
   explicit CsvWriter(const std::string& path, char delim = ',');
@@ -74,54 +47,6 @@ Result<uint64_t> ParseUint(std::string_view text);
 /// corrupt-corpus behaviour of every reader is unchanged.
 bool TryParseDouble(std::string_view text, double& out);
 bool TryParseUint(std::string_view text, uint64_t& out);
-
-/// Splits `line` on `delim` into string_views over `line`, storing at most
-/// `max_out` of them in `out`. Returns the TOTAL field count (which may
-/// exceed `max_out` — readers report that count in their error details).
-/// Field semantics match SplitCsvLine: no unescaping, empties preserved.
-size_t SplitFields(std::string_view line, char delim, std::string_view* out,
-                   size_t max_out);
-
-/// Reads an entire file into memory (binary mode). IOError "cannot open
-/// <path>" when the file cannot be opened and "read error on <path>" on a
-/// failed read — the same statuses the buffered readers have always used.
-Result<std::string> ReadFileBytes(const std::string& path);
-
-/// Zero-copy line scanner over an in-memory buffer with CsvReader's exact
-/// skip semantics: lines split on '\n', one trailing '\r' stripped, blank
-/// lines and '#' comments skipped, a final line without a newline still
-/// returned, and line_number() counting data lines only. The buffer must
-/// outlive every string_view the scanner hands out.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view data) : data_(data) {}
-
-  /// Advances to the next data line. Returns false at end of buffer.
-  bool Next(std::string_view& line) {
-    while (pos_ < data_.size()) {
-      size_t end = data_.find('\n', pos_);
-      if (end == std::string_view::npos) end = data_.size();
-      std::string_view candidate = data_.substr(pos_, end - pos_);
-      pos_ = end + 1;
-      if (!candidate.empty() && candidate.back() == '\r') {
-        candidate.remove_suffix(1);
-      }
-      if (candidate.empty() || candidate.front() == '#') continue;
-      ++line_number_;
-      line = candidate;
-      return true;
-    }
-    return false;
-  }
-
-  /// Number of data lines consumed so far (for error positions).
-  uint64_t line_number() const { return line_number_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-  uint64_t line_number_ = 0;
-};
 
 }  // namespace commsig
 

@@ -34,17 +34,14 @@ Status WriteSignatureSetCsv(const SignatureSet& set, const Interner& interner,
 
 /// Reads a signature set written by WriteSignatureSetCsv, interning labels
 /// into `interner`. Rows are grouped by owner in file order; entries of
-/// one owner may appear in any order. Fails with InvalidArgument on
-/// malformed rows or non-positive entry weights.
-Result<SignatureSet> ReadSignatureSetCsv(const std::string& path,
-                                         Interner& interner);
-
-/// Lenient variant: malformed rows (wrong field count, empty owner labels,
-/// unparseable / NaN / Inf / non-positive entry weights) are handled per
-/// `options.policy`; labels of rejected rows are never interned.
+/// one owner may appear in any order. Malformed rows (wrong field count,
+/// empty owner labels, unparseable / NaN / Inf / non-positive entry
+/// weights) are handled per `options.policy`; the default fails with
+/// InvalidArgument. Labels of rejected rows are never interned. This is
+/// ingest::ReadSignatureSetPipelined run inline.
 Result<SignatureSet> ReadSignatureSetCsv(const std::string& path,
                                          Interner& interner,
-                                         const IngestOptions& options);
+                                         const IngestOptions& options = {});
 
 }  // namespace commsig
 

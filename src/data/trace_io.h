@@ -18,18 +18,16 @@ Status WriteTraceCsv(const std::vector<TraceEvent>& events,
                      const Interner& interner, const std::string& path);
 
 /// Reads a trace written by WriteTraceCsv (or hand-prepared in the same
-/// format), interning labels into `interner` in row order. Fails with
-/// InvalidArgument on malformed rows.
-Result<std::vector<TraceEvent>> ReadTraceCsv(const std::string& path,
-                                             Interner& interner);
-
-/// Lenient variant: malformed rows (wrong field count, empty labels,
-/// unparseable numbers, NaN/Inf or non-positive weights, and — with
-/// `require_monotonic_time` — timestamp regressions) are handled per
-/// `options.policy`. Labels of rejected rows are never interned.
+/// format), interning labels into `interner` in row order. Malformed rows
+/// (wrong field count, empty labels, unparseable numbers, NaN/Inf or
+/// non-positive weights, and — with `require_monotonic_time` — timestamp
+/// regressions) are handled per `options.policy`; the default fails with
+/// InvalidArgument. Labels of rejected rows are never interned. This is
+/// the ingestion pipeline run inline (ingest::ReadTraceEventsPipelined at
+/// parse_workers = 0).
 Result<std::vector<TraceEvent>> ReadTraceCsv(const std::string& path,
                                              Interner& interner,
-                                             const IngestOptions& options);
+                                             const IngestOptions& options = {});
 
 }  // namespace commsig
 

@@ -19,17 +19,14 @@ Status WriteEdgeListCsv(const CommGraph& g, const Interner& interner,
 /// Reads an edge-list CSV produced by WriteEdgeListCsv (or hand-written in
 /// the same `src,dst,weight` format), interning labels into `interner`.
 /// Repeated (src,dst) rows aggregate. `bipartite_left_size` (optional) flags
-/// the first ids as V1; pass 0 for a general graph. Fails with
-/// InvalidArgument on malformed rows.
+/// the first ids as V1; pass 0 for a general graph. Malformed rows (wrong
+/// field count, empty labels, unparseable / NaN / Inf / non-positive
+/// weights) are handled per `options.policy`; the default fails with
+/// InvalidArgument. Labels of rejected rows are never interned. This is
+/// ingest::ReadEdgeListPipelined run inline.
 Result<CommGraph> ReadEdgeListCsv(const std::string& path, Interner& interner,
-                                  NodeId bipartite_left_size = 0);
-
-/// Lenient variant: malformed rows (wrong field count, empty labels,
-/// unparseable / NaN / Inf / non-positive weights) are handled per
-/// `options.policy`; labels of rejected rows are never interned.
-Result<CommGraph> ReadEdgeListCsv(const std::string& path, Interner& interner,
-                                  NodeId bipartite_left_size,
-                                  const IngestOptions& options);
+                                  NodeId bipartite_left_size = 0,
+                                  const IngestOptions& options = {});
 
 }  // namespace commsig
 

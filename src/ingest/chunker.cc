@@ -15,7 +15,7 @@ constexpr size_t kRecordBytes = 48;
 constexpr size_t kMaxRecordsPerPacket = 30;
 
 // A header candidate during resync needs version 5 and a plausible count —
-// the same predicate the serial reader's resync lambda uses.
+// the same predicate the serial reference's resync lambda uses.
 bool PlausibleHeader(const unsigned char* p) {
   if (ReadU16Be(p) != 5) return false;
   const uint16_t count = ReadU16Be(p + 2);

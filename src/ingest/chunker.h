@@ -22,7 +22,7 @@ enum class ChunkFormat {
 ///
 /// CSV framing cuts at the last newline inside ~chunk_bytes (extending past
 /// the target when a single line is longer). NetFlow framing replays the
-/// serial reader's exact packet walk — header validation, forward resync
+/// serial reference's exact packet walk — header validation, forward resync
 /// after a corrupt header, truncated-final-packet salvage, and (under
 /// require_monotonic_time) header-timestamp regression checks — because
 /// those decisions need the inter-packet stream state that only a serial
@@ -40,7 +40,7 @@ class Chunker {
           bool monotonic_time);
 
   /// OK if the file opened ("cannot open <path>" IOError otherwise —
-  /// byte-identical to the serial readers).
+  /// byte-identical to the serial reference).
   const Status& status() const { return status_; }
 
   /// Frames the next chunk into `chunk` (Clear()ed first; `seq` assigned
@@ -76,7 +76,7 @@ class Chunker {
   bool eof_ = false;
   uint64_t next_seq_ = 0;
 
-  // NetFlow stream state (mirrors the serial reader's locals).
+  // NetFlow stream state (mirrors the serial reference's locals).
   uint64_t skip_bytes_ = 0;  // remainder of a rejected packet body
   bool resyncing_ = false;   // scanning forward for a plausible header
   uint32_t last_secs_ = 0;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "graph/graph_builder.h"
 #include "ingest/chunker.h"
 #include "ingest/record_batch.h"
@@ -35,7 +33,7 @@ enum class RowFormat { kTrace, kEdge, kSignature, kNetflow };
 /// Open-addressed map from label bytes to an index in the batch's label
 /// arena. Lives in the worker and is reset per chunk; the arena itself is
 /// in the batch so it travels to the merge stage. Labels enter the arena in
-/// first-reference order — the order the serial reader would first intern
+/// first-reference order — the order the serial reference would first intern
 /// them — which is what lets the merge's bulk path intern arena-order.
 class ChunkLabelTable {
  public:
@@ -265,6 +263,35 @@ void DecodeNetflowChunk(const NetflowReadOptions& options, RawChunk& chunk,
   }
 }
 
+/// One decode stage: the row grammar plus its chunk-local label tables.
+/// Each parse worker owns one; an inline run owns the only one.
+class ChunkDecoder {
+ public:
+  ChunkDecoder(RowFormat format, bool capture_time_text,
+               const NetflowReadOptions& netflow)
+      : format_(format),
+        capture_time_text_(capture_time_text),
+        netflow_(netflow) {}
+
+  /// Decodes `chunk` into `batch` (cleared first; takes the chunk's seq).
+  void Decode(RawChunk& chunk, IngestBatch& batch) {
+    batch.Clear();
+    batch.seq = chunk.seq;
+    if (format_ == RowFormat::kNetflow) {
+      DecodeNetflowChunk(netflow_, chunk, batch, memo_);
+    } else {
+      DecodeCsvChunk(format_, capture_time_text_, chunk, batch, table_);
+    }
+  }
+
+ private:
+  RowFormat format_;
+  bool capture_time_text_;
+  const NetflowReadOptions& netflow_;
+  ChunkLabelTable table_;
+  ChunkAddrMemo memo_;
+};
+
 // ---------------------------------------------------------------------------
 // Merge stage: in-order batch consumption, serial interning, error policy.
 // ---------------------------------------------------------------------------
@@ -308,7 +335,7 @@ NodeId LazyIntern(MergeContext& ctx, const IngestBatch& batch, uint32_t idx) {
 /// slow path replays HandleBadRecord interleaved with records and interns
 /// lazily at record-accept time, so an abort (kFail, exhausted budget)
 /// never interns labels past the abort point and a merge-rejected row's
-/// labels are never interned — exactly the serial readers' behaviour.
+/// labels are never interned — exactly the serial reference's behaviour.
 template <typename Sink>
 Status MergeBatch(MergeContext& ctx, IngestBatch& batch, Sink& sink) {
   if (batch.rejects.empty() && !ctx.monotonic) {
@@ -376,9 +403,40 @@ Status MergeBatch(MergeContext& ctx, IngestBatch& batch, Sink& sink) {
   return Status::OK();
 }
 
+/// MergeBatch plus the per-batch accounting both run modes publish.
+template <typename Sink>
+Status MergeCounted(MergeContext& ctx, IngestBatch& batch, Sink& sink,
+                    PipelineStats& stats) {
+  Status s = MergeBatch(ctx, batch, sink);
+  ++stats.batches_merged;
+  stats.records_parsed += batch.records.size();
+  COMMSIG_HISTOGRAM_OBSERVE("ingest/batch_records", batch.records.size());
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // The pipeline runner.
 // ---------------------------------------------------------------------------
+
+/// Inline run: frame, decode and merge one chunk at a time on the calling
+/// thread, reusing one RawChunk and one IngestBatch. The stages and their
+/// order are the threaded run's, so the output is the same; there is no
+/// queue, so nothing is ever shed.
+template <typename Sink>
+Status RunInline(Chunker& chunker, ChunkDecoder& decoder, MergeContext& ctx,
+                 Sink& sink, PipelineStats& stats) {
+  RawChunk chunk;
+  IngestBatch batch;
+  while (true) {
+    Result<bool> framed = chunker.Next(chunk);
+    if (!framed.ok()) return framed.status();
+    if (!*framed) return Status::OK();
+    ++stats.chunks_framed;
+    decoder.Decode(chunk, batch);
+    Status s = MergeCounted(ctx, batch, sink, stats);
+    if (!s.ok()) return s;
+  }
+}
 
 /// One parse worker's queue set and buffer pools. Every queue is SPSC:
 /// framer -> worker (chunks), worker -> framer (chunk recycling),
@@ -392,8 +450,7 @@ struct WorkerLane {
   std::vector<std::unique_ptr<IngestBatch>> batch_pool;
 };
 
-/// Runs the staged pipeline over `path` and feeds merged records to `sink`
-/// (devirtualized: one instantiation per sink type). Stage layout:
+/// Threaded run over `workers` (>= 1) parse workers. Stage layout:
 ///
 ///   framer thread ──chunk_q[w]──► parse worker w ──batch_q[w]──► merge
 ///        ▲                                                         │
@@ -401,28 +458,15 @@ struct WorkerLane {
 ///
 /// Chunk `seq % workers` picks the lane, so each lane carries a monotone
 /// subsequence of chunk seqs and the merge recovers global order with a
-/// k-way minimum over lane heads — no reorder buffer. The merge thread is
-/// the only one touching the interner, the error policy, budgets and the
-/// sink; workers only decode into private batches. That split is what
-/// makes the result bit-identical to the serial readers at any worker
-/// count (under kBlock).
+/// k-way minimum over lane heads — no reorder buffer. The merge runs on
+/// the calling thread and is the only one touching the interner, the error
+/// policy, budgets and the sink; workers only decode into private batches.
+/// That split is what makes the result bit-identical to the inline run at
+/// any worker count (under kBlock).
 template <typename Sink>
-Status RunPipeline(const std::string& path, RowFormat format,
-                   Interner& interner, const PipelineOptions& options,
-                   Sink& sink, PipelineStats* stats_out) {
-  COMMSIG_SPAN("ingest/pipeline_read");
-  const size_t workers =
-      static_cast<size_t>(std::max(options.parse_workers, 1));
-  const bool netflow = format == RowFormat::kNetflow;
-  const bool monotonic_merge =
-      options.ingest.require_monotonic_time && format == RowFormat::kTrace;
-
-  Chunker chunker(path,
-                  netflow ? ChunkFormat::kNetflowV5 : ChunkFormat::kCsvLines,
-                  options.chunk_bytes,
-                  netflow && options.ingest.require_monotonic_time);
-  if (!chunker.status().ok()) return chunker.status();
-
+Status RunThreaded(Chunker& chunker, size_t workers, RowFormat format,
+                   bool capture_time_text, const PipelineOptions& options,
+                   MergeContext& ctx, Sink& sink, PipelineStats& stats) {
   const size_t cap = std::max<size_t>(options.queue_capacity, 1);
   const size_t pool = cap + 2;
   std::vector<WorkerLane> lanes(workers);
@@ -467,7 +511,7 @@ Status RunPipeline(const std::string& path, RowFormat format,
       }
       // Shed policy: never block the IO stage. A full lane drops the whole
       // chunk (counted, reported as overload) — the stream stays live at
-      // the cost of losing the serial-equivalence guarantee.
+      // the cost of losing the lossless-read guarantee.
       RawChunk* slot = nullptr;
       bool delivered = false;
       if (lane.free_chunk_q->TryPop(slot)) {
@@ -497,19 +541,12 @@ Status RunPipeline(const std::string& path, RowFormat format,
   for (size_t w = 0; w < workers; ++w) {
     worker_threads.emplace_back([&, w] {
       WorkerLane& lane = lanes[w];
-      ChunkLabelTable table;
-      ChunkAddrMemo memo;
+      ChunkDecoder decoder(format, capture_time_text, options.netflow);
       RawChunk* chunk = nullptr;
       while (lane.chunk_q->Pop(chunk)) {
         IngestBatch* batch = nullptr;
         if (!lane.free_batch_q->Pop(batch)) break;  // closed: aborting
-        batch->Clear();
-        batch->seq = chunk->seq;
-        if (netflow) {
-          DecodeNetflowChunk(options.netflow, *chunk, *batch, memo);
-        } else {
-          DecodeCsvChunk(format, monotonic_merge, *chunk, *batch, table);
-        }
+        decoder.Decode(*chunk, *batch);
         lane.free_chunk_q->Push(chunk);  // room guaranteed (pool-sized)
         if (!lane.batch_q->Push(batch)) break;
       }
@@ -521,16 +558,11 @@ Status RunPipeline(const std::string& path, RowFormat format,
   // lane yields a monotonically increasing subsequence of seqs, so the
   // smallest head is always the globally next batch (shed chunks leave
   // holes, which this handles for free).
-  MergeContext ctx{interner, options.ingest};
-  ctx.absolute_positions = netflow;
-  ctx.monotonic = monotonic_merge;
   std::vector<IngestBatch*> heads(workers, nullptr);
   for (size_t w = 0; w < workers; ++w) {
     if (!lanes[w].batch_q->Pop(heads[w])) heads[w] = nullptr;
   }
   Status merge_status;
-  uint64_t batches_merged = 0;
-  uint64_t records_parsed = 0;
   while (true) {
     size_t best = workers;
     for (size_t w = 0; w < workers; ++w) {
@@ -541,10 +573,7 @@ Status RunPipeline(const std::string& path, RowFormat format,
     }
     if (best == workers) break;
     IngestBatch* batch = heads[best];
-    Status s = MergeBatch(ctx, *batch, sink);
-    ++batches_merged;
-    records_parsed += batch->records.size();
-    COMMSIG_HISTOGRAM_OBSERVE("ingest/batch_records", batch->records.size());
+    Status s = MergeCounted(ctx, *batch, sink, stats);
     lanes[best].free_batch_q->Push(batch);  // room guaranteed
     if (!s.ok()) {
       merge_status = s;
@@ -567,17 +596,20 @@ Status RunPipeline(const std::string& path, RowFormat format,
   framer.join();
   for (std::thread& t : worker_threads) t.join();
 
-  PipelineStats stats;
   stats.chunks_framed = chunks_framed;
   stats.chunks_shed = chunks_shed;
-  stats.batches_merged = batches_merged;
-  stats.records_parsed = records_parsed;
   for (WorkerLane& lane : lanes) {
     stats.producer_stalls +=
         lane.chunk_q->producer_stalls() + lane.batch_q->producer_stalls();
     stats.consumer_stalls +=
         lane.chunk_q->consumer_stalls() + lane.batch_q->consumer_stalls();
   }
+  if (!merge_status.ok()) return merge_status;
+  return framer_status;
+}
+
+/// Publishes one run's totals under ingest/* and to /pipelinez.
+void PublishRun(const PipelineStats& stats, size_t workers) {
   COMMSIG_COUNTER_ADD("ingest/chunks_framed", stats.chunks_framed);
   if (stats.chunks_shed > 0) {
     COMMSIG_COUNTER_ADD("ingest/chunks_shed", stats.chunks_shed);
@@ -600,10 +632,43 @@ Status RunPipeline(const std::string& path, RowFormat format,
   run.producer_stalls = stats.producer_stalls;
   run.consumer_stalls = stats.consumer_stalls;
   obs::WindowStatsAggregator::Global().RecordIngestRun(run);
-  if (stats_out != nullptr) *stats_out = stats;
+}
 
-  if (!merge_status.ok()) return merge_status;
-  return framer_status;
+/// Reads `path` and feeds merged records to `sink` (devirtualized: one
+/// instantiation per sink type), inline or threaded per
+/// options.parse_workers.
+template <typename Sink>
+Status RunPipeline(const std::string& path, RowFormat format,
+                   Interner& interner, const PipelineOptions& options,
+                   Sink& sink, PipelineStats* stats_out) {
+  COMMSIG_SPAN("ingest/pipeline_read");
+  const size_t workers =
+      static_cast<size_t>(std::max(options.parse_workers, 0));
+  const bool netflow = format == RowFormat::kNetflow;
+  const bool monotonic_merge =
+      options.ingest.require_monotonic_time && format == RowFormat::kTrace;
+
+  Chunker chunker(path,
+                  netflow ? ChunkFormat::kNetflowV5 : ChunkFormat::kCsvLines,
+                  options.chunk_bytes,
+                  netflow && options.ingest.require_monotonic_time);
+  if (!chunker.status().ok()) return chunker.status();
+
+  MergeContext ctx{interner, options.ingest};
+  ctx.absolute_positions = netflow;
+  ctx.monotonic = monotonic_merge;
+  PipelineStats stats;
+  Status status;
+  if (workers == 0) {
+    ChunkDecoder decoder(format, monotonic_merge, options.netflow);
+    status = RunInline(chunker, decoder, ctx, sink, stats);
+  } else {
+    status = RunThreaded(chunker, workers, format, monotonic_merge, options,
+                         ctx, sink, stats);
+  }
+  PublishRun(stats, workers);
+  if (stats_out != nullptr) *stats_out = stats;
+  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -649,242 +714,6 @@ struct SignatureRowsSink {
     if (member == kInvalidNode) return;  // empty-signature marker row
     entries[owner].push_back({member, weight});
   }
-};
-
-// ---------------------------------------------------------------------------
-// Sharded windower stage.
-// ---------------------------------------------------------------------------
-
-/// A block of merged events in flight to one window shard.
-struct EventBlock {
-  std::vector<TraceEvent> events;
-};
-
-/// The merge-side sink that routes accepted events into per-shard windower
-/// stages through bounded SPSC queues. Sharding is by `src % shards`: every
-/// observation of a (src, dst) pair lands in one shard in stream order, so
-/// per-shard aggregation sums each edge's weights in exactly the serial
-/// order and the final per-window graphs are bit-identical to
-/// TraceWindower::Split on the serially read events.
-///
-/// While ingestion runs, shard threads pre-bucket window counts and store
-/// their events. Validation and aggregation need the final node-universe
-/// size, so they run in FinishAndBuild after the merge completes.
-class ShardedWindowSink {
- public:
-  ShardedWindowSink(size_t shards, size_t queue_capacity,
-                    uint64_t window_length, uint64_t start_time)
-      : shards_(std::max<size_t>(shards, 1)),
-        window_length_(std::max<uint64_t>(window_length, 1)),
-        start_time_(start_time),
-        states_(shards_) {
-    const size_t pool = queue_capacity + 2;
-    for (size_t s = 0; s < shards_; ++s) {
-      ShardState& st = states_[s];
-      st.queue =
-          std::make_unique<BoundedSpscQueue<EventBlock*>>(queue_capacity);
-      st.free_queue = std::make_unique<BoundedSpscQueue<EventBlock*>>(pool);
-      for (size_t i = 0; i < pool; ++i) {
-        st.pool.push_back(std::make_unique<EventBlock>());
-        EventBlock* block = st.pool.back().get();
-        st.free_queue->Push(block);
-      }
-      if (!st.free_queue->Pop(st.filling)) st.filling = nullptr;
-      st.thread = std::thread([this, s] { ShardLoop(s); });
-    }
-  }
-
-  ~ShardedWindowSink() { Shutdown(); }
-
-  void Emit(NodeId src, NodeId dst, uint64_t time, double weight) {
-    ShardState& st = states_[src % shards_];
-    st.filling->events.push_back({src, dst, time, weight});
-    if (st.filling->events.size() >= kBlockEvents) Flush(st);
-  }
-
-  /// Flushes remainders, stops the shard threads, and assembles the final
-  /// window graphs (parallelized over shards, then over windows).
-  std::vector<CommGraph> FinishAndBuild(size_t num_nodes,
-                                        NodeId bipartite_left_size) {
-    num_nodes_.store(num_nodes, std::memory_order_release);
-    Shutdown();
-
-    size_t num_windows = 0;
-    for (ShardState& st : states_) {
-      num_windows = std::max(num_windows, st.num_windows);
-    }
-
-    // Per-shard validation + aggregation (the per-pair weight sums), then
-    // per-window assembly from the disjoint shard aggregates.
-    ThreadPool pool(std::min(shards_, static_cast<size_t>(8)));
-    ParallelFor(pool, shards_, [&](size_t s) { AggregateShard(s); });
-
-    uint64_t dropped = 0;
-    std::vector<uint64_t> window_events(num_windows, 0);
-    for (ShardState& st : states_) {
-      dropped += st.dropped;
-      for (size_t w = 0; w < st.events_per_window.size(); ++w) {
-        window_events[w] += st.events_per_window[w];
-      }
-    }
-
-    std::vector<CommGraph> graphs(num_windows);
-    ParallelFor(pool, num_windows, [&](size_t w) {
-      GraphBuilder builder(num_nodes);
-      builder.SetBipartiteLeftSize(bipartite_left_size);
-      size_t total = 0;
-      for (ShardState& st : states_) {
-        if (w < st.aggregated.size()) total += st.aggregated[w].size();
-      }
-      builder.Reserve(total);
-      for (ShardState& st : states_) {
-        if (w >= st.aggregated.size()) continue;
-        for (const CommGraph::FlatEdge& e : st.aggregated[w]) {
-          builder.AddEdge(e.src, e.dst, e.weight);
-        }
-      }
-      graphs[w] = std::move(builder).Build();
-    });
-
-    // Same accounting the serial windower emits, so dashboards can't tell
-    // the paths apart.
-    if (dropped > 0) {
-      COMMSIG_COUNTER_ADD("robust/windower_dropped_events", dropped);
-    }
-    COMMSIG_COUNTER_ADD("windower/windows_built", num_windows);
-    for (size_t w = 0; w < num_windows; ++w) {
-      COMMSIG_HISTOGRAM_OBSERVE("windower/window_events", window_events[w]);
-    }
-    return graphs;
-  }
-
-  uint64_t producer_stalls() const {
-    uint64_t total = 0;
-    for (const ShardState& st : states_) total += st.queue->producer_stalls();
-    return total;
-  }
-  uint64_t consumer_stalls() const {
-    uint64_t total = 0;
-    for (const ShardState& st : states_) total += st.queue->consumer_stalls();
-    return total;
-  }
-
- private:
-  static constexpr size_t kBlockEvents = 4096;
-
-  struct ShardState {
-    std::unique_ptr<BoundedSpscQueue<EventBlock*>> queue;
-    std::unique_ptr<BoundedSpscQueue<EventBlock*>> free_queue;
-    std::vector<std::unique_ptr<EventBlock>> pool;
-    EventBlock* filling = nullptr;
-    std::thread thread;
-
-    // Shard-thread state (owned by the shard thread until join).
-    std::vector<TraceEvent> events;
-    std::vector<size_t> window_counts;
-    size_t num_windows = 0;
-
-    // Finish-stage results.
-    uint64_t dropped = 0;
-    std::vector<uint64_t> events_per_window;
-    std::vector<std::vector<CommGraph::FlatEdge>> aggregated;
-  };
-
-  size_t WindowOf(uint64_t time) const {
-    if (time < start_time_) return static_cast<size_t>(-1);
-    return static_cast<size_t>((time - start_time_) / window_length_);
-  }
-
-  void Flush(ShardState& st) {
-    if (st.filling == nullptr || st.filling->events.empty()) return;
-    st.queue->Push(st.filling);
-    if (!st.free_queue->Pop(st.filling)) st.filling = nullptr;
-  }
-
-  void ShardLoop(size_t s) {
-    ShardState& st = states_[s];
-    EventBlock* block = nullptr;
-    while (st.queue->Pop(block)) {
-      for (const TraceEvent& e : block->events) {
-        const size_t w = WindowOf(e.time);
-        if (w != static_cast<size_t>(-1)) {
-          if (w + 1 > st.num_windows) {
-            st.num_windows = w + 1;
-            st.window_counts.resize(st.num_windows, 0);
-          }
-          ++st.window_counts[w];
-          st.events.push_back(e);
-        }
-      }
-      block->events.clear();
-      st.free_queue->Push(block);
-    }
-  }
-
-  /// Validation (TryAddEdge's exact predicate) + per-window, per-pair
-  /// aggregation for one shard. Weights of one pair sum in stream order —
-  /// the stable sort preserves it — which is the bit-identity argument.
-  void AggregateShard(size_t s) {
-    ShardState& st = states_[s];
-    const size_t num_nodes = num_nodes_.load(std::memory_order_acquire);
-    st.events_per_window.assign(st.num_windows, 0);
-    std::vector<std::vector<CommGraph::FlatEdge>> staged(st.num_windows);
-    for (size_t w = 0; w < st.num_windows; ++w) {
-      staged[w].reserve(st.window_counts[w]);
-    }
-    for (const TraceEvent& e : st.events) {
-      const size_t w = WindowOf(e.time);
-      if (e.src >= num_nodes || e.dst >= num_nodes ||
-          !std::isfinite(e.weight) || e.weight <= 0.0) {
-        ++st.dropped;
-        continue;
-      }
-      staged[w].push_back({e.src, e.dst, e.weight});
-      ++st.events_per_window[w];
-    }
-    st.events.clear();
-    st.events.shrink_to_fit();
-
-    st.aggregated.assign(st.num_windows, {});
-    for (size_t w = 0; w < st.num_windows; ++w) {
-      std::vector<CommGraph::FlatEdge>& edges = staged[w];
-      std::stable_sort(edges.begin(), edges.end(),
-                       [](const CommGraph::FlatEdge& a,
-                          const CommGraph::FlatEdge& b) {
-                         return a.src != b.src ? a.src < b.src
-                                               : a.dst < b.dst;
-                       });
-      std::vector<CommGraph::FlatEdge>& out = st.aggregated[w];
-      for (size_t i = 0; i < edges.size();) {
-        const NodeId src = edges[i].src;
-        const NodeId dst = edges[i].dst;
-        double weight = 0.0;
-        for (; i < edges.size() && edges[i].src == src && edges[i].dst == dst;
-             ++i) {
-          weight += edges[i].weight;
-        }
-        out.push_back({src, dst, weight});
-      }
-    }
-  }
-
-  void Shutdown() {
-    if (shut_down_) return;
-    shut_down_ = true;
-    for (ShardState& st : states_) Flush(st);
-    for (ShardState& st : states_) st.queue->Close();
-    for (ShardState& st : states_) {
-      if (st.thread.joinable()) st.thread.join();
-      st.free_queue->Close();
-    }
-  }
-
-  size_t shards_;
-  uint64_t window_length_;
-  uint64_t start_time_;
-  std::atomic<size_t> num_nodes_{0};
-  std::vector<ShardState> states_;
-  bool shut_down_ = false;
 };
 
 RowFormat ToRowFormat(PipelineFormat format) {
@@ -943,29 +772,6 @@ Result<SignatureSet> ReadSignatureSetPipelined(const std::string& path,
     set.signatures.push_back(Signature::FromTopK(std::move(e), k));
   }
   return set;
-}
-
-Result<std::vector<CommGraph>> ReadWindowsPipelined(
-    const std::string& path, PipelineFormat format, Interner& interner,
-    const WindowedReadOptions& window_options, const PipelineOptions& options,
-    PipelineStats* stats) {
-  const size_t shards =
-      window_options.shards > 0
-          ? window_options.shards
-          : static_cast<size_t>(std::max(options.parse_workers, 1));
-  ShardedWindowSink sink(shards, std::max<size_t>(options.queue_capacity, 1),
-                         window_options.window_length,
-                         window_options.start_time);
-  Status s =
-      RunPipeline(path, ToRowFormat(format), interner, options, sink, stats);
-  if (!s.ok()) return s;  // the sink destructor unwinds the shard stage
-  std::vector<CommGraph> graphs = sink.FinishAndBuild(
-      interner.size(), window_options.bipartite_left_size);
-  if (stats != nullptr) {
-    stats->producer_stalls += sink.producer_stalls();
-    stats->consumer_stalls += sink.consumer_stalls();
-  }
-  return graphs;
 }
 
 }  // namespace commsig::ingest

@@ -22,28 +22,31 @@ enum class BackpressurePolicy {
   kBlock,
   /// Drop the framed chunk, count it under ingest/chunks_shed and report
   /// overload to the degradation controller. Sheds whole chunks, so the
-  /// output is NOT equivalent to the serial reader — reserved for live
-  /// sources where falling behind is worse than sampling.
+  /// output is NOT equivalent to a lossless read — reserved for live
+  /// sources where falling behind is worse than sampling. Inline runs
+  /// (parse_workers == 0) have no queue and never shed.
   kShed,
 };
 
 /// Input format for the event-producing entry points.
 enum class PipelineFormat {
-  kTraceCsv,   // src,dst,time,weight rows (data/trace_io)
-  kNetflowV5,  // concatenated v5 export packets (data/netflow)
+  kTraceCsv,   // src,dst,time,weight rows (data/trace_io writes them)
+  kNetflowV5,  // concatenated v5 export packets (data/netflow writes them)
 };
 
 struct PipelineOptions {
-  /// Parse worker threads (clamped to >= 1). The framer and the merge run
-  /// on their own serial stages regardless.
-  int parse_workers = 1;
+  /// Parse worker threads. 0 runs inline: frame, decode and merge one chunk
+  /// at a time on the calling thread, with no threads or queues. N > 0 runs
+  /// a framer thread and N workers feeding the merge on the calling thread.
+  int parse_workers = 0;
   /// Target raw bytes per framed chunk.
   size_t chunk_bytes = 256 * 1024;
-  /// Bounded queue capacity (in chunks/batches) between each stage pair.
+  /// Bounded queue capacity (in chunks/batches) between each stage pair
+  /// (threaded runs only).
   size_t queue_capacity = 8;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Error policy / budgets / quarantine sink, applied by the merge stage
-  /// in exact stream order (byte-identical to the serial readers).
+  /// in exact stream order (identical at every worker count).
   IngestOptions ingest;
   /// Record filtering/weighting for kNetflowV5.
   NetflowReadOptions netflow;
@@ -62,54 +65,28 @@ struct PipelineStats {
   uint64_t consumer_stalls = 0;
 };
 
-/// Parallel counterpart of ReadTraceCsv / (ReadNetflowV5File +
-/// NetflowToEvents): framer -> parse workers -> in-order merge. Under
-/// kBlock back-pressure the result — events, interner contents and id
-/// assignment, error-log entries, budgets, and failure status — is
-/// bit-identical to the serial path at every worker count.
+/// The one input reader: framer -> decode -> in-order merge, inline or
+/// with parse workers. Reads a trace CSV or a NetFlow v5 export into
+/// events. Under kBlock back-pressure the result — events, interner
+/// contents and id assignment, error-log entries, budgets, and failure
+/// status — is bit-identical at every worker count. ReadTraceCsv is this
+/// call at parse_workers = 0.
 Result<std::vector<TraceEvent>> ReadTraceEventsPipelined(
     const std::string& path, PipelineFormat format, Interner& interner,
     const PipelineOptions& options, PipelineStats* stats = nullptr);
 
-/// Parallel counterpart of ReadEdgeListCsv (same equivalence guarantee).
+/// Edge-list CSV reader behind ReadEdgeListCsv (same guarantee).
 Result<CommGraph> ReadEdgeListPipelined(const std::string& path,
                                         Interner& interner,
                                         NodeId bipartite_left_size,
                                         const PipelineOptions& options,
                                         PipelineStats* stats = nullptr);
 
-/// Parallel counterpart of ReadSignatureSetCsv (same equivalence
-/// guarantee).
+/// Signature-set CSV reader behind ReadSignatureSetCsv (same guarantee).
 Result<SignatureSet> ReadSignatureSetPipelined(const std::string& path,
                                                Interner& interner,
                                                const PipelineOptions& options,
                                                PipelineStats* stats = nullptr);
-
-/// Windowing configuration for ReadWindowsPipelined, mirroring
-/// TraceWindower's constructor.
-struct WindowedReadOptions {
-  uint64_t window_length = 1;
-  uint64_t start_time = 0;
-  NodeId bipartite_left_size = 0;
-  /// Window shard stages fed by the merge through bounded queues; 0 picks
-  /// parse_workers. Events are sharded by src id, which keeps every
-  /// observation of one (src, dst) pair in a single shard in stream order
-  /// — the property that makes the sharded aggregation bit-identical to
-  /// TraceWindower::Split.
-  size_t shards = 0;
-};
-
-/// Parallel counterpart of reading events then TraceWindower::Split: the
-/// merge stage routes accepted events into per-shard windower stages
-/// through bounded SPSC queues, shards pre-bucket and aggregate while
-/// ingestion is still running, and final per-window graphs are assembled
-/// from the shard aggregates. Window graphs are bit-identical to
-/// `TraceWindower(interner.size(), ...).Split(events)` on the serial
-/// reader's events, at every worker/shard count (kBlock only).
-Result<std::vector<CommGraph>> ReadWindowsPipelined(
-    const std::string& path, PipelineFormat format, Interner& interner,
-    const WindowedReadOptions& window_options, const PipelineOptions& options,
-    PipelineStats* stats = nullptr);
 
 }  // namespace commsig::ingest
 

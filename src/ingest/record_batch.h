@@ -26,7 +26,7 @@ inline constexpr uint32_t kNoLabel = 0xffffffffu;
 /// 0; signature marker rows leave `dst` kNoLabel. `rel_line` is the
 /// chunk-relative data-line number (CSV formats), kept so merge-time
 /// rejections (monotonic-time regressions) report the exact global line the
-/// serial reader would have.
+/// serial reference reader would have.
 struct ParsedRecord {
   uint32_t src = kNoLabel;
   uint32_t dst = kNoLabel;
@@ -87,7 +87,7 @@ struct RawChunk {
 
 /// One parse worker's decoded output for one chunk, in chunk order:
 /// validated records, reject candidates, and a deduplicated label arena.
-/// Labels appear in first-reference order (the order the serial reader
+/// Labels appear in first-reference order (the order the serial reference
 /// would first intern them), each with its precomputed hash, so the merge
 /// stage interns each distinct chunk label exactly once and translates
 /// records through the per-batch id map. `time_text` (filled only when the

@@ -1,28 +1,26 @@
 #ifndef COMMSIG_INGEST_RECORD_DECODE_H_
 #define COMMSIG_INGEST_RECORD_DECODE_H_
 
-// Format-level record decoding shared between the serial readers
-// (data/trace_io, data/netflow, graph/graph_io, core/signature_io) and the
-// parallel ingestion pipeline (ingest/pipeline). Accept/reject decisions and
-// rejection detail strings live in exactly one place, which is what makes
-// the pipeline's bit-identical-to-serial guarantee checkable rather than
-// aspirational: both paths cannot drift apart without this file changing.
+// Format-level record decoding for the ingestion pipeline (ingest/pipeline,
+// ingest/chunker), the only code that reads input files. Accept/reject
+// decisions and rejection detail strings live here and nowhere else; the
+// test oracle (tests/ingest/serial_reference) calls the same functions from
+// its row-at-a-time loops, so the pipeline is checked against an
+// independent reader without a second copy of the row grammar.
 
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/csv.h"
-#include "common/interner.h"
 #include "data/netflow.h"
 #include "robust/record_errors.h"
 
 namespace commsig::ingest {
 
 /// A rejected row/record: the reason plus the exact detail string the
-/// serial readers have always produced (HandleBadRecord takes both).
+/// readers have always produced (HandleBadRecord takes both).
 struct RowReject {
   RecordErrorReason reason = RecordErrorReason::kBadField;
   std::string detail;
@@ -42,7 +40,8 @@ struct TraceRow {
 /// Validates one trace CSV row already split into `count` total fields, the
 /// first min(count, 4) of which are stored in `fields`. Returns false and
 /// fills `reject` on a malformed row. Check order (field count, empty
-/// labels, time, weight, finiteness, positivity) matches the serial reader.
+/// labels, time, weight, finiteness, positivity) is part of the contract:
+/// the first failing check names the reject.
 inline bool DecodeTraceRow(const std::string_view* fields, size_t count,
                            TraceRow& row, RowReject& reject) {
   if (count != 4) {
@@ -198,8 +197,8 @@ inline SignatureRowKind DecodeSignatureRow(const std::string_view* fields,
   return SignatureRowKind::kEntry;
 }
 
-/// Big-endian (network order) field readers shared by the NetFlow reader
-/// and the pipeline's packet framer.
+/// Big-endian (network order) field readers for the packet framer and the
+/// record decoder.
 inline uint16_t ReadU16Be(const unsigned char* p) {
   return static_cast<uint16_t>((p[0] << 8) | p[1]);
 }
@@ -276,60 +275,6 @@ inline size_t FormatIpv4(uint32_t addr, char* buf) {
   }
   return static_cast<size_t>(p - buf);
 }
-
-/// Memoizes dotted-decimal interning of IPv4 addresses: formatting, hashing
-/// and the interner probe happen once per distinct address instead of once
-/// per flow record. Open-addressed on the raw 32-bit address; a hot lookup
-/// is one multiply-mix and usually one compare. Insertion order tracks the
-/// record stream, so interner id assignment is unchanged.
-class Ipv4LabelCache {
- public:
-  NodeId Intern(uint32_t addr, Interner& interner) {
-    if (table_.empty()) table_.resize(kInitialSlots);
-    size_t mask = table_.size() - 1;
-    size_t i = Mix(addr) & mask;
-    while (true) {
-      const Entry& e = table_[i];
-      if (e.id == kInvalidNode) break;
-      if (e.addr == addr) return e.id;
-      i = (i + 1) & mask;
-    }
-    char buf[16];
-    const std::string_view label(buf, FormatIpv4(addr, buf));
-    const NodeId id = interner.InternPrehashed(label, Interner::HashOf(label));
-    table_[i] = Entry{addr, id};
-    if (++size_ * 10 >= table_.size() * 7) Grow();
-    return id;
-  }
-
- private:
-  static constexpr size_t kInitialSlots = 1024;
-
-  struct Entry {
-    uint32_t addr = 0;
-    NodeId id = kInvalidNode;  // kInvalidNode marks an empty slot
-  };
-
-  static size_t Mix(uint32_t addr) {
-    uint64_t h = static_cast<uint64_t>(addr) * 0x9e3779b97f4a7c15ull;
-    return static_cast<size_t>(h >> 32);
-  }
-
-  void Grow() {
-    std::vector<Entry> old = std::move(table_);
-    table_.assign(old.size() * 2, Entry{});
-    const size_t mask = table_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.id == kInvalidNode) continue;
-      size_t i = Mix(e.addr) & mask;
-      while (table_[i].id != kInvalidNode) i = (i + 1) & mask;
-      table_[i] = e;
-    }
-  }
-
-  std::vector<Entry> table_;
-  size_t size_ = 0;
-};
 
 }  // namespace commsig::ingest
 

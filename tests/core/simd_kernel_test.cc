@@ -244,49 +244,6 @@ TEST(SimdRwrTest, ScalarToggleBitIdenticalTruncatedAndUnbounded) {
   }
 }
 
-TEST(SimdRwrTest, DegreeOrderedTraversalWithinDriftBound) {
-  // The opt-in degree-sorted dense traversal reorders per-target
-  // accumulation, so it is held to the unbounded-solver drift bound rather
-  // than bit-identity. Unbounded walks on a dense-ish graph go dense
-  // within a hop or two, which is the only scan the order affects.
-  CommGraph g = RandomGraph(40, 0.3, 17);
-  RwrOptions opts{.reset = 0.15,
-                  .max_hops = 0,
-                  .tolerance = 1e-10,
-                  .max_iterations = 300};
-  TransitionCache plain(g, opts.traversal);
-  TransitionCache ordered(g, opts.traversal);
-  ordered.EnableDegreeOrder();
-  ASSERT_TRUE(ordered.has_traversal_order());
-  ASSERT_FALSE(plain.has_traversal_order());
-  ASSERT_EQ(ordered.traversal_order().size(), g.NumNodes());
-
-  const auto base = SolveAll(plain, opts, g.NumNodes());
-  const auto reordered = SolveAll(ordered, opts, g.NumNodes());
-  ASSERT_EQ(base.size(), reordered.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    for (size_t u = 0; u < base[i].probabilities.size(); ++u) {
-      EXPECT_NEAR(reordered[i].probabilities[u], base[i].probabilities[u],
-                  1e-9);
-    }
-  }
-}
-
-TEST(SimdRwrTest, DegreeOrderSurvivesRebase) {
-  CommGraph g = RandomGraph(24, 0.25, 5);
-  TransitionCache cache(g, TraversalMode::kDirected);
-  cache.EnableDegreeOrder();
-  const std::vector<NodeId> before(cache.traversal_order().begin(),
-                                   cache.traversal_order().end());
-  std::vector<NodeId> all(g.NumNodes());
-  std::iota(all.begin(), all.end(), 0);
-  cache.Rebase(g, all);
-  EXPECT_TRUE(cache.has_traversal_order());
-  EXPECT_EQ(std::vector<NodeId>(cache.traversal_order().begin(),
-                                cache.traversal_order().end()),
-            before);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-build golden: the same seeded corpus must hash identically on
 // -DCOMMSIG_SIMD=off and =auto builds (the CI matrix runs both). The FNV

@@ -3,14 +3,16 @@
 // are real bytes on disk (not strings built in the test) so the fixtures
 // also pin the on-disk formats against accidental format drift.
 
+#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/signature_io.h"
-#include "data/netflow.h"
 #include "data/trace_io.h"
 #include "graph/graph_io.h"
+#include "ingest/pipeline.h"
+#include "ingest/serial_reference.h"
 #include "robust/record_errors.h"
 
 namespace commsig {
@@ -29,15 +31,50 @@ IngestOptions Policy(ErrorPolicy policy, RecordErrorLog* log = nullptr) {
 
 // --- NetFlow -------------------------------------------------------------
 
+/// Reads a corpus file through the production NetFlow path (the ingestion
+/// pipeline, inline) and checks it against the serial reference: same
+/// status, same events and labels, same error-log entries.
+Result<std::vector<TraceEvent>> ReadNetflow(const std::string& name,
+                                            const IngestOptions& opts = {}) {
+  RecordErrorLog reference_log;
+  IngestOptions reference_opts = opts;
+  if (opts.error_log != nullptr) reference_opts.error_log = &reference_log;
+  auto records =
+      serial_reference::ReadNetflowV5File(Corpus(name), reference_opts);
+
+  Interner interner;
+  ingest::PipelineOptions options;
+  options.ingest = opts;
+  auto events = ingest::ReadTraceEventsPipelined(
+      Corpus(name), ingest::PipelineFormat::kNetflowV5, interner, options);
+  EXPECT_EQ(events.status().ToString(), records.status().ToString());
+  if (events.ok() && records.ok()) {
+    Interner reference_interner;
+    EXPECT_EQ(*events,
+              serial_reference::NetflowToEvents(*records, reference_interner));
+    EXPECT_EQ(interner.size(), reference_interner.size());
+  }
+  if (opts.error_log != nullptr) {
+    const auto& got = opts.error_log->entries();
+    const auto& want = reference_log.entries();
+    EXPECT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].reason, want[i].reason);
+      EXPECT_EQ(got[i].position, want[i].position);
+      EXPECT_EQ(got[i].detail, want[i].detail);
+    }
+  }
+  return events;
+}
+
 TEST(CorruptNetflow, TruncatedFailsUnderFailPolicy) {
-  auto r = ReadNetflowV5File(Corpus("truncated.nf"));
+  auto r = ReadNetflow("truncated.nf");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
 }
 
 TEST(CorruptNetflow, TruncatedSalvagesWholeRecordsUnderSkip) {
-  auto r = ReadNetflowV5File(Corpus("truncated.nf"),
-                             Policy(ErrorPolicy::kSkip));
+  auto r = ReadNetflow("truncated.nf", Policy(ErrorPolicy::kSkip));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Header claims 3 records; the third is cut mid-record.
   EXPECT_EQ(r->size(), 2u);
@@ -45,8 +82,7 @@ TEST(CorruptNetflow, TruncatedSalvagesWholeRecordsUnderSkip) {
 
 TEST(CorruptNetflow, TruncatedQuarantinesTheCut) {
   RecordErrorLog log;
-  auto r = ReadNetflowV5File(Corpus("truncated.nf"),
-                             Policy(ErrorPolicy::kQuarantine, &log));
+  auto r = ReadNetflow("truncated.nf", Policy(ErrorPolicy::kQuarantine, &log));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(log.count(RecordErrorReason::kTruncated), 1u);
   ASSERT_EQ(log.entries().size(), 1u);
@@ -56,19 +92,17 @@ TEST(CorruptNetflow, TruncatedQuarantinesTheCut) {
 
 TEST(CorruptNetflow, BadMagicResynchronizesToNextPacket) {
   RecordErrorLog log;
-  auto r = ReadNetflowV5File(Corpus("bad_magic.nf"),
-                             Policy(ErrorPolicy::kQuarantine, &log));
+  auto r = ReadNetflow("bad_magic.nf", Policy(ErrorPolicy::kQuarantine, &log));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Garbage prefix rejected, valid 2-record packet after it recovered.
   EXPECT_EQ(r->size(), 2u);
   EXPECT_EQ(log.count(RecordErrorReason::kBadMagic), 1u);
-  EXPECT_FALSE(ReadNetflowV5File(Corpus("bad_magic.nf")).ok());
+  EXPECT_FALSE(ReadNetflow("bad_magic.nf").ok());
 }
 
 TEST(CorruptNetflow, ZeroCountHeaderRejectedAndRecovered) {
   RecordErrorLog log;
-  auto r = ReadNetflowV5File(Corpus("zero_count.nf"),
-                             Policy(ErrorPolicy::kQuarantine, &log));
+  auto r = ReadNetflow("zero_count.nf", Policy(ErrorPolicy::kQuarantine, &log));
   ASSERT_TRUE(r.ok());
   // The packet after the count=0 header still loads; the record body of
   // the bad packet is skipped by resynchronization.
@@ -78,15 +112,14 @@ TEST(CorruptNetflow, ZeroCountHeaderRejectedAndRecovered) {
 
 TEST(CorruptNetflow, TimestampRegressionOnlyWhenMonotonicRequired) {
   // Default: out-of-order export times are legal.
-  auto relaxed = ReadNetflowV5File(Corpus("time_regression.nf"),
-                                   Policy(ErrorPolicy::kSkip));
+  auto relaxed = ReadNetflow("time_regression.nf", Policy(ErrorPolicy::kSkip));
   ASSERT_TRUE(relaxed.ok());
   EXPECT_EQ(relaxed->size(), 3u);
 
   RecordErrorLog log;
   IngestOptions strict = Policy(ErrorPolicy::kQuarantine, &log);
   strict.require_monotonic_time = true;
-  auto r = ReadNetflowV5File(Corpus("time_regression.nf"), strict);
+  auto r = ReadNetflow("time_regression.nf", strict);
   ASSERT_TRUE(r.ok());
   // The regressed middle packet (secs 200 -> 100) is dropped whole; the
   // third (secs 300) still loads.
@@ -97,7 +130,7 @@ TEST(CorruptNetflow, TimestampRegressionOnlyWhenMonotonicRequired) {
 TEST(CorruptNetflow, ErrorBudgetBoundsGarbageTolerance) {
   IngestOptions opts = Policy(ErrorPolicy::kSkip);
   opts.max_errors = 0;  // 0 disables the budget: any amount of junk is OK
-  EXPECT_TRUE(ReadNetflowV5File(Corpus("bad_magic.nf"), opts).ok());
+  EXPECT_TRUE(ReadNetflow("bad_magic.nf", opts).ok());
 }
 
 // --- Trace CSV -----------------------------------------------------------

@@ -7,8 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include "ingest/pipeline.h"
+#include "ingest/serial_reference.h"
+
 namespace commsig {
 namespace {
+
+/// The production NetFlow read: the ingestion pipeline, inline.
+Result<std::vector<TraceEvent>> ReadNetflowEvents(
+    const std::string& path, Interner& interner,
+    const NetflowReadOptions& netflow = {}) {
+  ingest::PipelineOptions options;
+  options.netflow = netflow;
+  return ingest::ReadTraceEventsPipelined(
+      path, ingest::PipelineFormat::kNetflowV5, interner, options);
+}
 
 class NetflowTest : public ::testing::Test {
  protected:
@@ -19,6 +32,20 @@ class NetflowTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove(path_); }
 
   std::filesystem::path path_;
+};
+
+/// Same fixture; the flow-to-event mapping is checked end to end through
+/// the pipeline, which is the only code that applies it.
+class NetflowToEventsTest : public NetflowTest {
+ protected:
+  std::vector<TraceEvent> Events(const std::vector<NetflowV5Record>& records,
+                                 Interner& interner,
+                                 const NetflowReadOptions& netflow = {}) {
+    EXPECT_TRUE(WriteNetflowV5File(records, path_.string()).ok());
+    auto events = ReadNetflowEvents(path_.string(), interner, netflow);
+    EXPECT_TRUE(events.ok()) << events.status().ToString();
+    return events.ok() ? *events : std::vector<TraceEvent>{};
+  }
 };
 
 NetflowV5Record MakeRecord(uint32_t src, uint32_t dst, uint32_t secs,
@@ -48,9 +75,17 @@ TEST_F(NetflowTest, RoundTripSinglePacket) {
       MakeRecord(0x0A000002, 0x08080404, 1000),
   };
   ASSERT_TRUE(WriteNetflowV5File(records, path_.string()).ok());
-  auto loaded = ReadNetflowV5File(path_.string());
+  auto loaded = serial_reference::ReadNetflowV5File(path_.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, records);
+
+  Interner interner;
+  auto events = ReadNetflowEvents(path_.string(), interner);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 2u);
+  EXPECT_EQ(interner.LabelOf((*events)[0].src), "10.0.0.1");
+  EXPECT_EQ(interner.LabelOf((*events)[1].dst), "8.8.4.4");
+  EXPECT_EQ((*events)[1].time, 1000u);
 }
 
 TEST_F(NetflowTest, RoundTripMultiplePackets) {
@@ -60,7 +95,7 @@ TEST_F(NetflowTest, RoundTripMultiplePackets) {
     records.push_back(MakeRecord(0x0A000000 + i, 0x08080808, 2000 + i));
   }
   ASSERT_TRUE(WriteNetflowV5File(records, path_.string()).ok());
-  auto loaded = ReadNetflowV5File(path_.string());
+  auto loaded = serial_reference::ReadNetflowV5File(path_.string());
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 75u);
   // unix_secs is a per-packet header field: records in one packet share
@@ -70,13 +105,26 @@ TEST_F(NetflowTest, RoundTripMultiplePackets) {
   EXPECT_EQ((*loaded)[30].unix_secs, 2030u);
   EXPECT_EQ((*loaded)[0].src_addr, records[0].src_addr);
   EXPECT_EQ((*loaded)[74].src_addr, records[74].src_addr);
+
+  Interner interner;
+  auto events = ReadNetflowEvents(path_.string(), interner);
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 75u);
+  EXPECT_EQ((*events)[29].time, 2000u);
+  EXPECT_EQ((*events)[30].time, 2030u);
+  EXPECT_EQ(interner.LabelOf((*events)[74].src), Ipv4ToString(0x0A00004A));
 }
 
 TEST_F(NetflowTest, EmptyFileYieldsNoRecords) {
   std::ofstream(path_).close();
-  auto loaded = ReadNetflowV5File(path_.string());
+  auto loaded = serial_reference::ReadNetflowV5File(path_.string());
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
+
+  Interner interner;
+  auto events = ReadNetflowEvents(path_.string(), interner);
+  ASSERT_TRUE(events.ok());
+  EXPECT_TRUE(events->empty());
 }
 
 TEST_F(NetflowTest, RejectsWrongVersion) {
@@ -88,8 +136,12 @@ TEST_F(NetflowTest, RejectsWrongVersion) {
   char bad[2] = {0, 9};
   f.write(bad, 2);
   f.close();
-  auto loaded = ReadNetflowV5File(path_.string());
+  auto loaded = serial_reference::ReadNetflowV5File(path_.string());
   EXPECT_TRUE(loaded.status().IsCorruption());
+
+  Interner interner;
+  auto events = ReadNetflowEvents(path_.string(), interner);
+  EXPECT_EQ(events.status().ToString(), loaded.status().ToString());
 }
 
 TEST_F(NetflowTest, RejectsTruncatedPacket) {
@@ -99,20 +151,26 @@ TEST_F(NetflowTest, RejectsTruncatedPacket) {
   // Chop the last 10 bytes.
   auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 10);
-  auto loaded = ReadNetflowV5File(path_.string());
+  auto loaded = serial_reference::ReadNetflowV5File(path_.string());
   EXPECT_TRUE(loaded.status().IsCorruption());
+
+  Interner interner;
+  auto events = ReadNetflowEvents(path_.string(), interner);
+  EXPECT_EQ(events.status().ToString(), loaded.status().ToString());
 }
 
 TEST_F(NetflowTest, MissingFileIsIOError) {
-  auto loaded = ReadNetflowV5File("/no/such/flows.bin");
+  auto loaded = serial_reference::ReadNetflowV5File("/no/such/flows.bin");
   EXPECT_TRUE(loaded.status().IsIOError());
+
+  Interner interner;
+  auto events = ReadNetflowEvents("/no/such/flows.bin", interner);
+  EXPECT_EQ(events.status().ToString(), loaded.status().ToString());
 }
 
-TEST(NetflowToEventsTest, InternsDottedLabels) {
-  std::vector<NetflowV5Record> records = {
-      MakeRecord(0x0A000001, 0x08080808, 100)};
+TEST_F(NetflowToEventsTest, InternsDottedLabels) {
   Interner interner;
-  auto events = NetflowToEvents(records, interner);
+  auto events = Events({MakeRecord(0x0A000001, 0x08080808, 100)}, interner);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(interner.LabelOf(events[0].src), "10.0.0.1");
   EXPECT_EQ(interner.LabelOf(events[0].dst), "8.8.8.8");
@@ -120,35 +178,36 @@ TEST(NetflowToEventsTest, InternsDottedLabels) {
   EXPECT_DOUBLE_EQ(events[0].weight, 1.0);  // kFlows default
 }
 
-TEST(NetflowToEventsTest, WeightingModes) {
+TEST_F(NetflowToEventsTest, WeightingModes) {
   std::vector<NetflowV5Record> records = {MakeRecord(1, 2, 3)};
   Interner interner;
-  auto by_packets = NetflowToEvents(
-      records, interner, {.weighting = NetflowWeighting::kPackets});
+  auto by_packets =
+      Events(records, interner, {.weighting = NetflowWeighting::kPackets});
+  ASSERT_EQ(by_packets.size(), 1u);
   EXPECT_DOUBLE_EQ(by_packets[0].weight, 10.0);
-  auto by_octets = NetflowToEvents(
-      records, interner, {.weighting = NetflowWeighting::kOctets});
+  auto by_octets =
+      Events(records, interner, {.weighting = NetflowWeighting::kOctets});
+  ASSERT_EQ(by_octets.size(), 1u);
   EXPECT_DOUBLE_EQ(by_octets[0].weight, 4000.0);
 }
 
-TEST(NetflowToEventsTest, ProtocolFilter) {
+TEST_F(NetflowToEventsTest, ProtocolFilter) {
   std::vector<NetflowV5Record> records = {
       MakeRecord(1, 2, 3, /*proto=*/6),    // TCP
       MakeRecord(4, 5, 6, /*proto=*/17)};  // UDP
   Interner interner;
-  auto tcp_only = NetflowToEvents(records, interner,
-                                  {.protocol_filter = 6});
+  auto tcp_only = Events(records, interner, {.protocol_filter = 6});
   EXPECT_EQ(tcp_only.size(), 1u);
-  auto all = NetflowToEvents(records, interner);
+  auto all = Events(records, interner);
   EXPECT_EQ(all.size(), 2u);
 }
 
-TEST(NetflowToEventsTest, DropsZeroWeightRecords) {
+TEST_F(NetflowToEventsTest, DropsZeroWeightRecords) {
   NetflowV5Record r = MakeRecord(1, 2, 3);
   r.packets = 0;
   Interner interner;
-  auto events = NetflowToEvents({r}, interner,
-                                {.weighting = NetflowWeighting::kPackets});
+  auto events =
+      Events({r}, interner, {.weighting = NetflowWeighting::kPackets});
   EXPECT_TRUE(events.empty());
 }
 

@@ -11,9 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "data/netflow.h"
-#include "data/trace_io.h"
-#include "graph/graph_io.h"
-#include "graph/windower.h"
+#include "ingest/serial_reference.h"
+#include "obs/window_stats.h"
 
 namespace commsig::ingest {
 namespace {
@@ -21,7 +20,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Golden-hash fingerprints: FNV-1a over every observable output of a read —
 // events/graphs/signatures, the interner's id assignment, and the error log.
-// Serial and pipelined reads must produce the same hash bit for bit.
+// The serial reference (tests/ingest/serial_reference.h) and the pipeline,
+// inline or threaded, must produce the same hash bit for bit.
 // ---------------------------------------------------------------------------
 
 class Fnv {
@@ -193,7 +193,8 @@ std::string CorruptTraceCorpus() {
   return out;
 }
 
-const int kWorkerCounts[] = {1, 2, 8};
+// 0 is the inline run every default read takes; the rest are threaded.
+const int kWorkerCounts[] = {0, 1, 2, 8};
 
 // ---------------------------------------------------------------------------
 // Trace CSV.
@@ -203,7 +204,7 @@ TEST_F(PipelineTest, TraceCleanMatchesSerialAtEveryWorkerCount) {
   WriteFile(CleanTraceCorpus(5000));
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
+  auto serial = serial_reference::ReadTraceCsv(PathStr(), serial_interner);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const uint64_t golden = FingerprintEvents(*serial, serial_interner);
 
@@ -236,7 +237,8 @@ TEST_F(PipelineTest, TraceQuarantineLogMatchesSerial) {
   ingest.error_log = &serial_log;
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner, ingest);
+  auto serial =
+      serial_reference::ReadTraceCsv(PathStr(), serial_interner, ingest);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
   const uint64_t golden_events = FingerprintEvents(*serial, serial_interner);
@@ -262,7 +264,7 @@ TEST_F(PipelineTest, TraceFailPolicyReproducesSerialStatus) {
   WriteFile("a,b,10,1\nbroken row\nc,d,11,1\n");
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
+  auto serial = serial_reference::ReadTraceCsv(PathStr(), serial_interner);
   ASSERT_FALSE(serial.ok());
 
   for (int workers : kWorkerCounts) {
@@ -286,7 +288,8 @@ TEST_F(PipelineTest, TraceErrorBudgetExhaustionMatchesSerial) {
   ingest.policy = ErrorPolicy::kSkip;
   ingest.max_errors = 10;
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner, ingest);
+  auto serial =
+      serial_reference::ReadTraceCsv(PathStr(), serial_interner, ingest);
   ASSERT_FALSE(serial.ok());
 
   for (int workers : kWorkerCounts) {
@@ -326,7 +329,8 @@ TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner, ingest);
+  auto serial =
+      serial_reference::ReadTraceCsv(PathStr(), serial_interner, ingest);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
 
@@ -350,7 +354,8 @@ TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
 
 TEST_F(PipelineTest, MissingFileReproducesSerialStatus) {
   Interner serial_interner;
-  auto serial = ReadTraceCsv("/nonexistent/trace.csv", serial_interner);
+  auto serial = serial_reference::ReadTraceCsv("/nonexistent/trace.csv",
+                                               serial_interner);
   ASSERT_FALSE(serial.ok());
 
   Interner interner;
@@ -379,7 +384,8 @@ TEST_F(PipelineTest, EdgeListGraphMatchesSerialAtEveryWorkerCount) {
   WriteFile(corpus);
 
   Interner serial_interner;
-  auto serial = ReadEdgeListCsv(PathStr(), serial_interner, /*left=*/19);
+  auto serial = serial_reference::ReadEdgeListCsv(PathStr(), serial_interner,
+                                                  /*left=*/19);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const uint64_t golden = FingerprintGraph(*serial);
 
@@ -415,7 +421,8 @@ TEST_F(PipelineTest, SignatureSetMatchesSerialIncludingEmptyMarkers) {
   WriteFile(corpus);
 
   Interner serial_interner;
-  auto serial = ReadSignatureSetCsv(PathStr(), serial_interner);
+  auto serial =
+      serial_reference::ReadSignatureSetCsv(PathStr(), serial_interner);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const uint64_t golden = FingerprintSignatures(*serial, serial_interner);
 
@@ -459,10 +466,10 @@ TEST_F(PipelineTest, NetflowCleanMatchesSerialAtEveryWorkerCount) {
   netflow.weighting = NetflowWeighting::kOctets;
 
   Interner serial_interner;
-  auto raw = ReadNetflowV5File(PathStr());
+  auto raw = serial_reference::ReadNetflowV5File(PathStr());
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   std::vector<TraceEvent> serial =
-      NetflowToEvents(*raw, serial_interner, netflow);
+      serial_reference::NetflowToEvents(*raw, serial_interner, netflow);
   const uint64_t golden = FingerprintEvents(serial, serial_interner);
 
   for (int workers : kWorkerCounts) {
@@ -501,10 +508,11 @@ TEST_F(PipelineTest, NetflowCorruptStreamMatchesSerialQuarantine) {
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
-  auto raw = ReadNetflowV5File(PathStr(), ingest);
+  auto raw = serial_reference::ReadNetflowV5File(PathStr(), ingest);
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
-  std::vector<TraceEvent> serial = NetflowToEvents(*raw, serial_interner);
+  std::vector<TraceEvent> serial =
+      serial_reference::NetflowToEvents(*raw, serial_interner);
   const uint64_t golden_events = FingerprintEvents(serial, serial_interner);
   const uint64_t golden_log = FingerprintErrorLog(serial_log);
 
@@ -542,10 +550,11 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
-  auto raw = ReadNetflowV5File(PathStr(), ingest);
+  auto raw = serial_reference::ReadNetflowV5File(PathStr(), ingest);
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
-  std::vector<TraceEvent> serial = NetflowToEvents(*raw, serial_interner);
+  std::vector<TraceEvent> serial =
+      serial_reference::NetflowToEvents(*raw, serial_interner);
 
   for (int workers : kWorkerCounts) {
     Interner interner;
@@ -562,68 +571,6 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
     EXPECT_EQ(FingerprintEvents(*got, interner),
               FingerprintEvents(serial, serial_interner));
     EXPECT_EQ(FingerprintErrorLog(log), FingerprintErrorLog(serial_log));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded windowing.
-// ---------------------------------------------------------------------------
-
-TEST_F(PipelineTest, WindowedReadMatchesSerialSplitAtEveryShardCount) {
-  WriteFile(CleanTraceCorpus(6000));
-
-  Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  TraceWindower windower(serial_interner.size(), /*window_length=*/100,
-                         /*start_time=*/1000);
-  std::vector<CommGraph> golden = windower.Split(*serial);
-  ASSERT_GT(golden.size(), 1u);
-
-  for (int workers : {1, 2}) {
-    for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-      Interner interner;
-      PipelineOptions options;
-      options.parse_workers = workers;
-      options.chunk_bytes = 4096;
-      WindowedReadOptions window_options;
-      window_options.window_length = 100;
-      window_options.start_time = 1000;
-      window_options.shards = shards;
-      auto got = ReadWindowsPipelined(PathStr(), PipelineFormat::kTraceCsv,
-                                      interner, window_options, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_EQ(got->size(), golden.size())
-          << "workers=" << workers << " shards=" << shards;
-      for (size_t w = 0; w < golden.size(); ++w) {
-        EXPECT_EQ(FingerprintGraph((*got)[w]), FingerprintGraph(golden[w]))
-            << "window=" << w << " workers=" << workers
-            << " shards=" << shards;
-      }
-    }
-  }
-}
-
-TEST_F(PipelineTest, WindowedReadSkipsEventsBeforeStartTime) {
-  WriteFile("a,b,5,1\nc,d,50,2\ne,f,55,3\n");
-
-  Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
-  ASSERT_TRUE(serial.ok());
-  TraceWindower windower(serial_interner.size(), 10, 40);
-  std::vector<CommGraph> golden = windower.Split(*serial);
-
-  Interner interner;
-  WindowedReadOptions window_options;
-  window_options.window_length = 10;
-  window_options.start_time = 40;
-  window_options.shards = 2;
-  auto got = ReadWindowsPipelined(PathStr(), PipelineFormat::kTraceCsv,
-                                  interner, window_options, {});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), golden.size());
-  for (size_t w = 0; w < golden.size(); ++w) {
-    EXPECT_EQ(FingerprintGraph((*got)[w]), FingerprintGraph(golden[w]));
   }
 }
 
@@ -649,6 +596,46 @@ TEST_F(PipelineTest, ShedModeCompletesAndAccountsChunks) {
   EXPECT_GT(stats.chunks_framed + stats.chunks_shed, 0u);
   EXPECT_EQ(stats.batches_merged, stats.chunks_framed);
   EXPECT_EQ(stats.records_parsed, got->size());
+}
+
+TEST_F(PipelineTest, InlineRunReportsItsStagesAndNeverSheds) {
+  WriteFile(CleanTraceCorpus(4000));
+
+  Interner serial_interner;
+  auto serial = serial_reference::ReadTraceCsv(PathStr(), serial_interner);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  obs::WindowStatsAggregator& agg = obs::WindowStatsAggregator::Global();
+  agg.Reset();
+  Interner interner;
+  PipelineOptions options;
+  options.parse_workers = 0;
+  options.chunk_bytes = 128;
+  options.queue_capacity = 1;
+  // The setting that sheds most readily when threaded: inline has no queue
+  // to overflow, so it must read everything.
+  options.backpressure = BackpressurePolicy::kShed;
+  PipelineStats stats;
+  auto got = ReadTraceEventsPipelined(PathStr(), PipelineFormat::kTraceCsv,
+                                      interner, options, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *serial);
+  EXPECT_GT(stats.chunks_framed, 1u);
+  EXPECT_EQ(stats.chunks_shed, 0u);
+  EXPECT_EQ(stats.batches_merged, stats.chunks_framed);
+  EXPECT_EQ(stats.records_parsed, got->size());
+  EXPECT_EQ(stats.producer_stalls + stats.consumer_stalls, 0u);
+
+  const std::string expected =
+      "\"ingest\": {\"runs\": 1, \"parse_workers\": 0, \"chunks_framed\": " +
+      std::to_string(stats.chunks_framed) +
+      ", \"chunks_shed\": 0, \"batches_merged\": " +
+      std::to_string(stats.batches_merged) +
+      ", \"records_parsed\": " + std::to_string(got->size()) +
+      ", \"producer_stalls\": 0, \"consumer_stalls\": 0}";
+  EXPECT_NE(agg.ToJson().find(expected), std::string::npos)
+      << agg.ToJson();
+  agg.Reset();
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
+#include "ingest/serial_reference.h"
 
 namespace commsig::ingest {
 namespace {
@@ -22,13 +22,14 @@ struct ScannedRow {
 std::vector<ScannedRow> ScanReference(std::string_view data, char delim,
                                       size_t max_fields) {
   std::vector<ScannedRow> rows;
-  LineScanner scanner(data);
+  serial_reference::LineScanner scanner(data);
   std::string_view line;
   std::string_view fields[8];
   while (scanner.Next(line)) {
     ScannedRow row;
     row.line = std::string(line);
-    row.total_fields = SplitFields(line, delim, fields, max_fields);
+    row.total_fields =
+        serial_reference::SplitFields(line, delim, fields, max_fields);
     for (size_t i = 0; i < std::min(row.total_fields, max_fields); ++i) {
       row.fields.emplace_back(fields[i]);
     }

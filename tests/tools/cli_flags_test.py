@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""CLI flag validation: a bad --scheme / --dist fails before any input IO.
+"""CLI flag validation: bad flags fail before any input IO.
 
 Each comparing subcommand is run with a bad flag and a --trace path that
-does not exist. The run must exit 1 with a `bad_scheme_or_distance` log
-line whose `error` field names the bad value, and it must not have tried
-to open the trace (no `trace_load_failed`, no `io_retry`).
+does not exist. A bad --scheme / --dist must exit 1 with a
+`bad_scheme_or_distance` log line whose `error` field names the bad value.
+A bad ingestion flag (--parse-workers, --io-chunk-kb, --ingest-queue,
+--backpressure) must exit 2 with `invalid value for --<flag>`. Neither may
+have tried to open the trace (no `trace_load_failed`, no `io_retry`).
 
 Usage: cli_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
@@ -23,11 +25,14 @@ COMMANDS = ("selfmatch", "multiusage", "masquerade", "anomalies", "timeline")
 
 
 class CliFlagsTest(unittest.TestCase):
-    def run_cli(self, *argv):
+    def run_cli_raw(self, *argv):
         with tempfile.TemporaryDirectory() as tmp:
             missing = os.path.join(tmp, "no_such_trace.csv")
-            proc = subprocess.run([COMMSIG, *argv, "--trace", missing],
+            return subprocess.run([COMMSIG, *argv, "--trace", missing],
                                   capture_output=True, text=True, timeout=60)
+
+    def run_cli(self, *argv):
+        proc = self.run_cli_raw(*argv)
         events = [json.loads(line) for line in proc.stderr.splitlines()
                   if line.startswith("{")]
         return proc.returncode, events
@@ -51,6 +56,40 @@ class CliFlagsTest(unittest.TestCase):
             with self.subTest(command=command):
                 self.expect_flag_error(command, "--scheme", "tx",
                                        "unknown scheme spec: tx")
+
+    def test_bad_ingest_flags_fail_before_io(self):
+        cases = (
+            # Values that used to abort with an uncaught bad_alloc.
+            (("--ingest-queue", "99999999999"), "ingest-queue"),
+            (("--io-chunk-kb", "99999999999999"), "io-chunk-kb"),
+            # Used to be truncated to 1 worker by a narrowing cast.
+            (("--parse-workers", "4294967297"), "parse-workers"),
+            (("--parse-workers", "257"), "parse-workers"),
+            # Used to be accepted unchecked at the default worker count.
+            (("--backpressure", "bogus"), "backpressure"),
+            # Inline runs have no queue to shed from.
+            (("--backpressure", "shed"), "backpressure"),
+            (("--parse-workers", "0", "--backpressure", "shed"),
+             "backpressure"),
+        )
+        for command in ("signatures", "stream", "timeline"):
+            for argv, flag in cases:
+                with self.subTest(command=command, argv=argv):
+                    proc = self.run_cli_raw(command, *argv)
+                    self.assertEqual(proc.returncode, 2, proc.stderr)
+                    self.assertIn(f"invalid value for --{flag}",
+                                  proc.stderr)
+                    self.assertNotIn("trace_load_failed", proc.stderr)
+                    self.assertNotIn("io_retry", proc.stderr)
+
+    def test_good_ingest_flags_reach_the_loader(self):
+        rc, events = self.run_cli("signatures", "--parse-workers", "256",
+                                  "--io-chunk-kb", "1048576",
+                                  "--ingest-queue", "4096",
+                                  "--backpressure", "shed",
+                                  "--retry-max-attempts", "1")
+        self.assertEqual(rc, 1)
+        self.assertIn("trace_load_failed", [e["event"] for e in events])
 
     def test_good_flags_reach_the_loader(self):
         rc, events = self.run_cli("selfmatch", "--dist", "jac",

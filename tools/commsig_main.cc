@@ -24,16 +24,18 @@
 //                       into one stream, sharing --max-total-errors
 //   --netflow PATH      input NetFlow v5 binary export (TCP flows only
 //                       unless --protocol 0)
-//   --parse-workers N   decode inputs with the staged parallel ingestion
-//                       pipeline using N parse workers (0 = serial
-//                       readers, the default; the decoded stream is
-//                       bit-identical either way)
-//   --io-chunk-kb N     pipeline framing chunk size in KiB (default 256)
+//   --parse-workers N   parse worker threads of the ingestion pipeline,
+//                       0..256 (default 0 = inline: frame, decode and
+//                       merge on the calling thread); the decoded stream
+//                       is bit-identical at every N
+//   --io-chunk-kb N     pipeline framing chunk size in KiB, at most
+//                       1048576 (default 256)
 //   --ingest-queue N    bounded queue capacity, in chunks/batches, between
-//                       pipeline stages (default 8)
+//                       pipeline stages, at most 4096 (default 8)
 //   --backpressure P    block = stall the IO stage when a queue fills
 //                       (lossless, default); shed = drop whole chunks and
-//                       report overload to the degradation ladder
+//                       report overload to the degradation ladder (needs
+//                       --parse-workers > 0: inline has no queue)
 //   --window-length N   window length in trace time units (default 86400)
 //   --scheme SPEC       tt | ut | ut-tfidf | rwr(c=..,h=..) |
 //                       rwr-push(c=..,eps=..) (default tt)
@@ -179,8 +181,6 @@
 #include "core/distance.h"
 #include "core/parallel.h"
 #include "core/scheme.h"
-#include "data/netflow.h"
-#include "data/trace_io.h"
 #include "ingest/pipeline.h"
 #include "eval/properties.h"
 #include "eval/timeline.h"
@@ -281,20 +281,32 @@ IngestOptions IngestFromArgs(const Args& args, RecordErrorLog* log) {
   return opts;
 }
 
-/// Builds the parallel-ingestion configuration from the --parse-workers /
-/// --io-chunk-kb / --ingest-queue / --backpressure flags. Only consulted
-/// when --parse-workers > 0; the error policy (and its log/budget
-/// pointers) rides along so the pipeline's merge stage applies it in
-/// exact stream order.
+/// Builds the ingestion configuration from the --parse-workers /
+/// --io-chunk-kb / --ingest-queue / --backpressure flags plus the error
+/// policy, which rides along so the pipeline's merge stage applies it in
+/// exact stream order. Rejects out-of-range values before any input IO.
 ingest::PipelineOptions PipelineFromArgs(const Args& args,
                                          const IngestOptions& ingest_opts) {
+  auto at_most = [&](const char* key, uint64_t fallback, uint64_t max) {
+    const uint64_t v = args.GetInt(key, fallback);
+    if (v > max) {
+      const std::string expected =
+          "an integer in [0, " + std::to_string(max) + "]";
+      DieInvalidFlag(key, args.Get(key, ""), expected.c_str());
+    }
+    return v;
+  };
   ingest::PipelineOptions opts;
-  opts.parse_workers = static_cast<int>(args.GetInt("parse-workers", 0));
+  opts.parse_workers = static_cast<int>(at_most("parse-workers", 0, 256));
   opts.chunk_bytes =
-      static_cast<size_t>(args.GetInt("io-chunk-kb", 256)) * 1024;
-  opts.queue_capacity = args.GetInt("ingest-queue", 8);
+      static_cast<size_t>(at_most("io-chunk-kb", 256, 1048576)) * 1024;
+  opts.queue_capacity = at_most("ingest-queue", 8, 4096);
   const std::string policy = args.Get("backpressure", "block");
   if (policy == "shed") {
+    if (opts.parse_workers == 0) {
+      DieInvalidFlag("backpressure", policy,
+                     "block when --parse-workers is 0");
+    }
     opts.backpressure = ingest::BackpressurePolicy::kShed;
   } else if (policy != "block") {
     DieInvalidFlag("backpressure", policy, "block | shed");
@@ -344,11 +356,15 @@ std::vector<std::string> SplitPaths(const std::string& value) {
 /// pipeline attribution and span timestamps line up in /varz and /tracez.
 uint64_t NowMicros() { return obs::TraceCollector::Global().NowMicros(); }
 
-/// Reads the input trace (CSV or NetFlow) under the requested error policy,
-/// reporting and optionally dumping quarantined records. The decode is
-/// attributed to the pipeline's parse stage.
+/// Reads the input trace (CSV or NetFlow) through the ingestion pipeline
+/// under the requested error policy, reporting and optionally dumping
+/// quarantined records. The decode is attributed to the pipeline's parse
+/// stage.
 bool LoadEvents(const Args& args, Interner& interner,
                 std::vector<TraceEvent>& events) {
+  RecordErrorLog error_log;
+  ingest::PipelineOptions pipeline =
+      PipelineFromArgs(args, IngestFromArgs(args, &error_log));
   std::string trace_path = args.Get("trace", "");
   std::string netflow_path = args.Get("netflow", "");
   if (trace_path.empty() == netflow_path.empty()) {
@@ -356,95 +372,54 @@ bool LoadEvents(const Args& args, Interner& interner,
         .Str("error", "exactly one of --trace / --netflow is required");
     return false;
   }
-  RecordErrorLog error_log;
-  IngestOptions ingest = IngestFromArgs(args, &error_log);
-  // Run-wide budget shared by every file of this ingest (--trace accepts a
-  // comma-separated list); 0 leaves only the per-file budget active.
+  const bool netflow = !netflow_path.empty();
+  const ingest::PipelineFormat format =
+      netflow ? ingest::PipelineFormat::kNetflowV5
+              : ingest::PipelineFormat::kTraceCsv;
+  if (netflow) {
+    pipeline.netflow.protocol_filter =
+        static_cast<uint8_t>(args.GetInt("protocol", 6));
+  }
+  // --trace accepts a comma-separated list; --netflow names one file.
+  const std::vector<std::string> paths =
+      netflow ? std::vector<std::string>{netflow_path}
+              : SplitPaths(trace_path);
+  if (paths.empty()) {
+    obs::LogError("bad_flags").Str("error", "--trace lists no paths");
+    return false;
+  }
+  // Run-wide budget shared by every file of this ingest; 0 leaves only the
+  // per-file budget active.
   GlobalErrorBudget global_budget;
   global_budget.max_total_errors = args.GetInt("max-total-errors", 0);
   if (global_budget.max_total_errors > 0) {
-    ingest.global_budget = &global_budget;
+    pipeline.ingest.global_budget = &global_budget;
   }
   // Opening an input is retryable IO: a file served off flaky network
   // storage gets the same backoff treatment as a checkpoint write.
   Retrier retrier(RetryFromArgs(args));
   const uint64_t parse_start_us = NowMicros();
-  if (!trace_path.empty()) {
-    const std::vector<std::string> paths = SplitPaths(trace_path);
-    if (paths.empty()) {
-      obs::LogError("bad_flags").Str("error", "--trace lists no paths");
+  for (const std::string& path : paths) {
+    std::vector<TraceEvent> file_events;
+    Status s = retrier.Run("reader_open", [&]() {
+      Status fp = failpoints::Inject("reader/open");
+      if (!fp.ok()) return fp;
+      auto loaded =
+          ingest::ReadTraceEventsPipelined(path, format, interner, pipeline);
+      if (!loaded.ok()) return loaded.status();
+      file_events = std::move(*loaded);
+      return Status::OK();
+    });
+    if (!s.ok()) {
+      obs::LogEvent failed = netflow ? obs::LogError("netflow_load_failed")
+                                     : obs::LogError("trace_load_failed");
+      failed.Str("path", path).Str("error", s.ToString());
       return false;
     }
-    for (const std::string& path : paths) {
-      std::vector<TraceEvent> file_events;
-      Status s = retrier.Run("reader_open", [&]() {
-        Status fp = failpoints::Inject("reader/open");
-        if (!fp.ok()) return fp;
-        if (args.GetInt("parse-workers", 0) > 0) {
-          auto loaded = ingest::ReadTraceEventsPipelined(
-              path, ingest::PipelineFormat::kTraceCsv, interner,
-              PipelineFromArgs(args, ingest));
-          if (!loaded.ok()) return loaded.status();
-          file_events = std::move(*loaded);
-          return Status::OK();
-        }
-        auto loaded = ReadTraceCsv(path, interner, ingest);
-        if (!loaded.ok()) return loaded.status();
-        file_events = std::move(*loaded);
-        return Status::OK();
-      });
-      if (!s.ok()) {
-        obs::LogError("trace_load_failed")
-            .Str("path", path)
-            .Str("error", s.ToString());
-        return false;
-      }
-      if (events.empty()) {
-        events = std::move(file_events);
-      } else {
-        events.insert(events.end(), file_events.begin(), file_events.end());
-      }
-    }
-  } else {
-    NetflowReadOptions opts;
-    opts.protocol_filter =
-        static_cast<uint8_t>(args.GetInt("protocol", 6));
-    if (args.GetInt("parse-workers", 0) > 0) {
-      Status s = retrier.Run("reader_open", [&]() {
-        Status fp = failpoints::Inject("reader/open");
-        if (!fp.ok()) return fp;
-        ingest::PipelineOptions popts = PipelineFromArgs(args, ingest);
-        popts.netflow = opts;
-        auto loaded = ingest::ReadTraceEventsPipelined(
-            netflow_path, ingest::PipelineFormat::kNetflowV5, interner,
-            popts);
-        if (!loaded.ok()) return loaded.status();
-        events = std::move(*loaded);
-        return Status::OK();
-      });
-      if (!s.ok()) {
-        obs::LogError("netflow_load_failed")
-            .Str("path", netflow_path)
-            .Str("error", s.ToString());
-        return false;
-      }
+    if (events.empty()) {
+      events = std::move(file_events);
     } else {
-      std::vector<NetflowV5Record> records_out;
-      Status s = retrier.Run("reader_open", [&]() {
-        Status fp = failpoints::Inject("reader/open");
-        if (!fp.ok()) return fp;
-        auto records = ReadNetflowV5File(netflow_path, ingest);
-        if (!records.ok()) return records.status();
-        records_out = std::move(*records);
-        return Status::OK();
-      });
-      if (!s.ok()) {
-        obs::LogError("netflow_load_failed")
-            .Str("path", netflow_path)
-            .Str("error", s.ToString());
-        return false;
-      }
-      events = NetflowToEvents(records_out, interner, opts);
+      events.insert(events.end(), file_events.begin(), file_events.end());
     }
   }
   obs::WindowStatsAggregator::Global().RecordSetupStage(
