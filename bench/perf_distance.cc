@@ -13,6 +13,7 @@
 #include "bench/bench_registry.h"
 #include "common/random.h"
 #include "core/distance.h"
+#include "oracle/distance_reference.h"
 
 namespace commsig {
 namespace {

@@ -16,6 +16,7 @@
 #include "core/top_talkers.h"
 #include "core/unexpected_talkers.h"
 #include "graph/graph_builder.h"
+#include "oracle/rwr_reference.h"
 
 namespace commsig::bench {
 namespace {
@@ -120,7 +121,8 @@ BENCHMARK(BM_RwrBatch)
 
 // The headline comparison, measured in one run: all-hosts RWR^3 signatures
 // on the 20k-external window, per-source baseline (batched:0, the
-// pre-batching path looping Compute) vs the batched engine (batched:1).
+// pre-batching serial solver from the test oracles, one dense solve per
+// host) vs the batched engine (batched:1).
 // perf_schemes' main() derives the speedup gauge from these two rows.
 void BM_RwrAllNodes(benchmark::State& state) {
   const FlowDataset& ds = DatasetFor(20000);
@@ -134,7 +136,8 @@ void BM_RwrAllNodes(benchmark::State& state) {
       std::vector<Signature> sigs;
       sigs.reserve(ds.local_hosts.size());
       for (NodeId v : ds.local_hosts) {
-        sigs.push_back(rwr.Compute(windows[0], v));
+        sigs.push_back(RwrReferenceSignature(windows[0], v, rwr.options(),
+                                             rwr.rwr_options()));
       }
       benchmark::DoNotOptimize(sigs);
     }

@@ -289,7 +289,7 @@ int main() {
   RunSweep(shared, "ut", "ut", 0.0, 15);
 
   // RWR reuse/warm/cold ladder on the clustered workload. The documented
-  // bound: accumulated drift estimate <= incremental_max_drift (1e-6)
+  // bound: accumulated drift estimate <= kIncrementalMaxDrift (1e-6)
   // plus solver tolerance on either side.
   Workload clustered = MakeClusteredWorkload();
   RunSweep(clustered, "rwr(c=0.1,h=3)", "rwr_h3", 1e-5, 7);

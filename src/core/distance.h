@@ -79,16 +79,6 @@ DistanceKernelFn DistanceKernel(DistanceKind kind);
 /// denominator must be non-zero).
 double Distance(DistanceKind kind, const Signature& a, const Signature& b);
 
-/// The pre-SIMD single-merge formulation: one linear merge over the entry
-/// pairs accumulating every statistic. Kept as the semantic reference the
-/// randomized equivalence tests compare the packed kernels against, and as
-/// the in-run baseline the BM_PairwiseDistances speedup gauges divide by.
-/// Values may differ from Distance() in the last few ulps (the packed
-/// kernels hoist per-signature sums to construction and accumulate matches
-/// 4 lanes at a time), never more.
-double DistanceReference(DistanceKind kind, const Signature& a,
-                         const Signature& b);
-
 /// Convenience value type bundling a kind with its evaluation; cheap to
 /// copy, usable as a function object. Resolves the kernel once at
 /// construction, so per-pair calls are a single indirect call with no kind

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,109 +39,6 @@ SchemeTraits RwrScheme::traits() const {
           {SignatureProperty::kPersistence, SignatureProperty::kRobustness}};
 }
 
-std::vector<double> RwrScheme::StationaryVector(const CommGraph& g,
-                                                NodeId v) const {
-  return Solve(g, v).probabilities;
-}
-
-RwrScheme::RwrSolve RwrScheme::Solve(const CommGraph& g, NodeId v) const {
-  return Solve(g, v, TransitionCache(g, rwr_.traversal));
-}
-
-RwrScheme::RwrSolve RwrScheme::Solve(const CommGraph& g, NodeId v,
-                                     const TransitionCache& cache) const {
-  std::vector<double> r(g.NumNodes(), 0.0);
-  r[v] = 1.0;
-  return SolveFrom(g, v, cache, std::move(r));
-}
-
-RwrScheme::RwrSolve RwrScheme::SolveFrom(const CommGraph& g, NodeId v,
-                                         const TransitionCache& cache,
-                                         std::vector<double> r) const {
-  const size_t n = g.NumNodes();
-  const bool symmetric = rwr_.traversal == TraversalMode::kSymmetric;
-  const double c = rwr_.reset;
-
-  // Scratch survives across calls: an all-hosts sweep allocates the result
-  // vector only, not a second O(n) buffer per solve.
-  thread_local std::vector<double> scratch;
-  scratch.assign(n, 0.0);
-  std::vector<double>& next = scratch;
-
-  COMMSIG_SPAN("rwr/iterate");
-  const size_t iterations =
-      rwr_.max_hops > 0 ? rwr_.max_hops : rwr_.max_iterations;
-  size_t iterations_run = 0;
-  double last_residual = 0.0;
-  bool converged = rwr_.max_hops > 0;  // truncated walks converge by fiat
-  for (size_t iter = 0; iter < iterations; ++iter) {
-    ++iterations_run;
-    std::fill(next.begin(), next.end(), 0.0);
-    // Walking mass (the reset-tax base) and dangling mass are accumulated
-    // inside the scatter scan — the old separate all-n rescan per iteration
-    // summed exactly the same terms in the same order.
-    double walked = 0.0;
-    double dangling = 0.0;
-    for (NodeId x = 0; x < n; ++x) {
-      const double mass = r[x];
-      if (mass == 0.0) continue;
-      if (!cache.walkable(x)) {
-        // Nodes with no traversable edges return their mass to the start
-        // node, preserving a total probability of 1.
-        dangling += mass;
-        continue;
-      }
-      walked += mass;
-      // Multiply by the cached reciprocal instead of dividing — the same
-      // two-multiply expression the batched engine uses, which keeps the
-      // two paths bit-identical while removing the division that dominated
-      // the inner loop's arithmetic cost.
-      const double scale = mass * ((1.0 - c) * cache.inv_norm(x));
-      for (const Edge& e : g.OutEdges(x)) {
-        next[e.node] += scale * e.weight;
-      }
-      if (symmetric) {
-        for (const Edge& e : g.InEdges(x)) {
-          next[e.node] += scale * e.weight;
-        }
-      }
-    }
-    // Reset mass: c from every walking node, plus everything a dangling
-    // node would have carried.
-    next[v] += c * walked + dangling;
-
-    if (rwr_.max_hops == 0) {
-      double delta = 0.0;
-      for (size_t i = 0; i < n; ++i) delta += std::fabs(next[i] - r[i]);
-      r.swap(next);
-      last_residual = delta;
-      if (delta < rwr_.tolerance) {
-        converged = true;
-        break;
-      }
-    } else {
-      r.swap(next);
-    }
-  }
-  COMMSIG_COUNTER_ADD("rwr/calls", 1);
-  COMMSIG_COUNTER_ADD("rwr/iterations", iterations_run);
-  if (rwr_.max_hops == 0) {
-    COMMSIG_HISTOGRAM_OBSERVE("rwr/residual_at_convergence", last_residual);
-  }
-  return {std::move(r), converged, last_residual, iterations_run};
-}
-
-Signature RwrScheme::SignatureFromVector(const CommGraph& g, NodeId v,
-                                         const std::vector<double>& r) const {
-  std::vector<Signature::Entry> candidates;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    if (r[u] <= 0.0) continue;
-    if (!KeepCandidate(g, v, u)) continue;
-    candidates.push_back({u, r[u]});
-  }
-  return Signature::FromTopK(std::move(candidates), options_.k);
-}
-
 Signature RwrScheme::SignatureFromSupport(
     const CommGraph& g, NodeId v,
     std::span<const Signature::Entry> support) const {
@@ -165,18 +63,7 @@ Signature RwrScheme::SignatureFromSupport(
 }
 
 Signature RwrScheme::Compute(const CommGraph& g, NodeId v) const {
-  RwrSolve solve = Solve(g, v);
-  if (!solve.converged && rwr_.fallback_hops > 0) {
-    // Degradation ladder (RWR -> RWR^h): an unconverged vector has no
-    // accuracy guarantee at any rank, while the truncated walk is exact for
-    // its restricted h-hop semantics — a defined approximation beats an
-    // undefined one.
-    COMMSIG_COUNTER_ADD("robust/rwr_fallbacks", 1);
-    RwrOptions truncated = rwr_;
-    truncated.max_hops = rwr_.fallback_hops;
-    solve = RwrScheme(options_, truncated).Solve(g, v);
-  }
-  return SignatureFromVector(g, v, solve.probabilities);
+  return ComputeAll(g, std::span<const NodeId>(&v, 1))[0];
 }
 
 std::vector<Signature> RwrScheme::ComputeAll(
@@ -222,8 +109,11 @@ std::vector<Signature> RwrScheme::SolveManyBatched(
     engine.SolveBatchSupport(batch, ws, entries, ranges, converged);
 
     if (use_fallback) {
-      // Same degradation ladder as Compute, applied per column: re-solve
-      // only the unconverged sources as a truncated sub-batch.
+      // Degradation ladder (RWR -> RWR^h), per column: an unconverged
+      // vector has no accuracy guarantee at any rank, while the truncated
+      // walk is exact for its restricted h-hop semantics — a defined
+      // approximation beats an undefined one. Re-solve only the
+      // unconverged sources, as a truncated sub-batch.
       retry_sources.clear();
       for (size_t b = 0; b < count; ++b) {
         if (!converged[b]) retry_sources.push_back(batch[b]);
@@ -252,6 +142,20 @@ std::vector<Signature> RwrScheme::SolveManyBatched(
 }
 
 namespace {
+
+/// Incremental sweeps: a focal node's previous signature is reused while
+/// its accumulated drift-bound estimate — sum over its stored stationary
+/// support of occupancy mass times the changed rows' normalized-transition
+/// L1 drift, scaled by the walk's geometric amplification factor — stays
+/// at or below this L1 bound. Nodes whose support touches no changed row
+/// estimate exactly 0 and are always reused. See DESIGN.md §11.
+constexpr double kIncrementalMaxDrift = 1e-6;
+
+/// Unbounded walks whose drift estimate exceeds kIncrementalMaxDrift but
+/// stays at or below this limit are warm-started: the power iteration is
+/// seeded with the previous stationary vector, so it pays
+/// ~ln(drift/tolerance) contraction steps instead of ~ln(1/tolerance).
+constexpr double kIncrementalWarmDrift = 0.25;
 
 /// RwrScheme's warm state: per focal node, the sparse support of the last
 /// solved stationary vector and the drift-bound mass accumulated against
@@ -360,7 +264,6 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
   }
 
   COMMSIG_SPAN("rwr/incremental_compute_all");
-  const size_t n = g.NumNodes();
   const bool symmetric = rwr_.traversal == TraversalMode::kSymmetric;
   const double c = rwr_.reset;
   // Carry the previous window's cache forward: only changed rows can hold
@@ -412,11 +315,11 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
       }
     }
     if (weighted > 0.0) warm.acc_drift += factor * weighted;
-    if (warm.acc_drift <= rwr_.incremental_max_drift) {
+    if (warm.acc_drift <= kIncrementalMaxDrift) {
       out[i] = std::move(previous[i]);  // reuse is O(1), previous is owned
       ++reused;
     } else if (rwr_.max_hops == 0 &&
-               warm.acc_drift <= rwr_.incremental_warm_drift) {
+               warm.acc_drift <= kIncrementalWarmDrift) {
       warm_slots.push_back(i);
     } else {
       // Truncated walks re-solve exactly (their normal path); unbounded
@@ -427,38 +330,53 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
     }
   }
 
-  // Warm starts: seed the power iteration with the previous stationary
-  // vector. The convergence criterion is Solve's own, so the fixed point —
-  // and therefore the signature — matches a cold solve within tolerance.
-  for (size_t i : warm_slots) {
-    const NodeId v = nodes[i];
-    RwrIncrementalState::Warm& warm = st->warm[i];
-    std::vector<double> seed(n, 0.0);
-    double total = 0.0;
-    for (const Signature::Entry& e : warm.support) total += e.weight;
-    if (total > 0.0) {
-      const double inv = 1.0 / total;
-      for (const Signature::Entry& e : warm.support) {
-        seed[e.node] = e.weight * inv;
+  // Warm starts: seed each engine column with the previous stationary
+  // vector, normalized in place (the support is replaced below either
+  // way). The convergence criterion is the cold solve's own, so the fixed
+  // point — and therefore the signature — matches a cold solve within
+  // tolerance. Unconverged columns join the cold batch.
+  if (!warm_slots.empty()) {
+    RwrBatchEngine engine(rwr_, cache);
+    RwrBatchWorkspace& ws = RwrBatchEngine::LocalWorkspace();
+    std::vector<Signature::Entry> entries;
+    std::vector<std::pair<size_t, size_t>> ranges;
+    std::vector<uint8_t> converged;
+    std::vector<NodeId> batch;
+    std::vector<std::span<const Signature::Entry>> seeds;
+    const size_t width = RwrBatchEngine::kDefaultBatchWidth;
+    for (size_t begin = 0; begin < warm_slots.size(); begin += width) {
+      const size_t count = std::min(width, warm_slots.size() - begin);
+      batch.clear();
+      seeds.clear();
+      for (size_t j = begin; j < begin + count; ++j) {
+        std::vector<Signature::Entry>& support =
+            st->warm[warm_slots[j]].support;
+        double total = 0.0;
+        for (const Signature::Entry& e : support) total += e.weight;
+        if (total > 0.0) {
+          const double inv = 1.0 / total;
+          for (Signature::Entry& e : support) e.weight *= inv;
+        }
+        batch.push_back(nodes[warm_slots[j]]);
+        seeds.emplace_back(support);  // empty: unit mass at the source
       }
-    } else {
-      seed[v] = 1.0;
-    }
-    RwrSolve solve = SolveFrom(g, v, cache, std::move(seed));
-    if (!solve.converged) {
-      ++warm_fallbacks;
-      cold_nodes.push_back(v);
-      cold_slots.push_back(i);
-      continue;
-    }
-    out[i] = SignatureFromVector(g, v, solve.probabilities);
-    warm.support.clear();
-    for (NodeId u = 0; u < n; ++u) {
-      if (solve.probabilities[u] > 0.0) {
-        warm.support.push_back({u, solve.probabilities[u]});
+      engine.SolveBatchSupport(batch, ws, entries, ranges, converged, seeds);
+      for (size_t b = 0; b < count; ++b) {
+        const size_t i = warm_slots[begin + b];
+        if (!converged[b]) {
+          ++warm_fallbacks;
+          cold_nodes.push_back(batch[b]);
+          cold_slots.push_back(i);
+          continue;
+        }
+        std::span<const Signature::Entry> support(
+            entries.data() + ranges[b].first,
+            ranges[b].second - ranges[b].first);
+        out[i] = SignatureFromSupport(g, batch[b], support);
+        st->warm[i].support.assign(support.begin(), support.end());
+        st->warm[i].acc_drift = 0.0;
       }
     }
-    warm.acc_drift = 0.0;
   }
 
   if (!cold_nodes.empty()) {

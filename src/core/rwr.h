@@ -26,17 +26,6 @@ class TransitionCache;
 /// local -> external -> local transitivity.
 class RwrScheme final : public SignatureScheme {
  public:
-  /// Outcome of one power iteration, including whether the unbounded walk
-  /// actually met its tolerance. Callers that need trustworthy
-  /// probabilities (anomaly scoring, drift bounds) must check `converged`
-  /// rather than assume the cap was never hit.
-  struct RwrSolve {
-    std::vector<double> probabilities;  // sums to 1; index = node id
-    bool converged = false;  // always true for truncated RWR^h walks
-    double residual = 0.0;   // last L1 step change (unbounded walks only)
-    size_t iterations = 0;
-  };
-
   RwrScheme(SchemeOptions options, RwrOptions rwr_options)
       : SignatureScheme(options), rwr_(rwr_options) {}
 
@@ -44,18 +33,16 @@ class RwrScheme final : public SignatureScheme {
 
   SchemeTraits traits() const override;
 
-  /// Computes the signature. If the unbounded walk fails to converge within
-  /// max_iterations, degrades to the truncated RWR^h walk with
-  /// rwr_options().fallback_hops hops (counted under
-  /// `robust/rwr_fallbacks`) instead of using the unconverged vector.
+  /// ComputeAll(g, {v})[0]: a batch of one through the same engine and
+  /// fallback ladder.
   Signature Compute(const CommGraph& g, NodeId v) const override;
 
-  /// Batched override: windows `nodes` through the block power iteration of
-  /// RwrBatchEngine (one graph scan amortized over a batch of sources,
-  /// frontier-sparse truncated walks) instead of solving per node. Results
-  /// are bit-identical to per-node Compute for RWR^h and match within
-  /// solver tolerance for unbounded walks; the unconverged-column fallback
-  /// ladder behaves exactly like Compute's.
+  /// Windows `nodes` through the block power iteration of RwrBatchEngine
+  /// (one graph scan amortized over a batch of sources, frontier-sparse
+  /// truncated walks). If an unbounded walk fails to converge within
+  /// max_iterations, its column degrades to the truncated RWR^h walk with
+  /// rwr_options().fallback_hops hops (counted under
+  /// `robust/rwr_fallbacks`) instead of using the unconverged vector.
   std::vector<Signature> ComputeAll(
       const CommGraph& g, std::span<const NodeId> nodes) const override;
 
@@ -64,48 +51,26 @@ class RwrScheme final : public SignatureScheme {
   /// accumulated since. Per transition the changed transition rows'
   /// normalized L1 drift is folded against each stored support (see
   /// DESIGN.md §11 for the bound); a node is then
-  ///   - reused (signature copied) while accumulated drift stays <=
-  ///     rwr_options().incremental_max_drift — exact 0 for any node whose
+  ///   - reused (signature copied) while accumulated drift stays <= 1e-6
+  ///     (kIncrementalMaxDrift in rwr.cc) — exact 0 for any node whose
   ///     support touches no changed row, the common case at high overlap;
-  ///   - warm-started (unbounded walks only) while drift <=
-  ///     incremental_warm_drift: the power iteration is seeded with the
+  ///   - warm-started (unbounded walks only) while drift <= 0.25
+  ///     (kIncrementalWarmDrift): the engine's column is seeded with the
   ///     previous stationary vector and converges in the usual criterion;
   ///   - cold-solved through the batched engine + fallback ladder
   ///     otherwise, or when a warm start fails to converge (counted under
   ///     `timeline/rwr_warm_start_fallbacks`).
   /// Truncated RWR^h signatures are bit-identical to ComputeAll whenever
   /// drift is exactly 0 and exact re-solves otherwise; unbounded results
-  /// stay within incremental_max_drift + solver tolerance in L1.
+  /// stay within kIncrementalMaxDrift + solver tolerance in L1.
   std::vector<Signature> IncrementalComputeAll(
       const CommGraph& g, std::span<const NodeId> nodes,
       const GraphDelta* delta, std::vector<Signature> previous,
       std::unique_ptr<IncrementalState>& state) const override;
 
-  /// Runs the power iteration and reports convergence explicitly.
-  RwrSolve Solve(const CommGraph& g, NodeId v) const;
-
-  /// Like Solve(g, v) but reuses a prebuilt TransitionCache (row
-  /// normalizers + dangling partition) instead of re-deriving it — the
-  /// amortized form for many solves on one window. `cache` must have been
-  /// built from `g` with rwr_options().traversal.
-  RwrSolve Solve(const CommGraph& g, NodeId v,
-                 const TransitionCache& cache) const;
-
-  /// Exposes the full occupancy-probability vector for node `v` (before
-  /// top-k truncation). Probabilities sum to 1; index = node id. Used by
-  /// tests and by ablation benches. Convenience over Solve() that discards
-  /// the convergence report.
-  std::vector<double> StationaryVector(const CommGraph& g, NodeId v) const;
-
   const RwrOptions& rwr_options() const { return rwr_; }
 
  private:
-  /// Power iteration from an arbitrary initial distribution `r` (consumed).
-  /// Solve seeds e_v through this, so cold and warm solves share one code
-  /// path and identical convergence semantics.
-  RwrSolve SolveFrom(const CommGraph& g, NodeId v, const TransitionCache& cache,
-                     std::vector<double> r) const;
-
   /// Batched sweep core shared by ComputeAll and the incremental cold path:
   /// solves `nodes` through RwrBatchEngine (+ the truncated fallback
   /// ladder) against a prebuilt cache. When `supports` is non-null it is
@@ -116,16 +81,11 @@ class RwrScheme final : public SignatureScheme {
       std::span<const NodeId> nodes,
       std::vector<std::vector<Signature::Entry>>* supports) const;
 
-  /// Top-k extraction from a dense occupancy vector: applies the
-  /// Definition-1 candidate filter, then Signature::FromTopK.
-  Signature SignatureFromVector(const CommGraph& g, NodeId v,
-                                const std::vector<double>& r) const;
-
-  /// Same extraction from a sparse support list (nonzero entries ascending
-  /// by node id), as produced by RwrBatchEngine::SolveBatchSupport. Skips
-  /// the O(n) rescan per focal node, which dominates all-hosts sweeps on
-  /// windows whose walk support is far below n. Candidate order matches
-  /// SignatureFromVector's ascending scan, so results are identical.
+  /// Top-k extraction from a sparse support list (nonzero entries
+  /// ascending by node id), as produced by
+  /// RwrBatchEngine::SolveBatchSupport: applies the Definition-1 candidate
+  /// filter and selects what Signature::FromTopK would, without an O(n)
+  /// rescan per focal node.
   Signature SignatureFromSupport(
       const CommGraph& g, NodeId v,
       std::span<const Signature::Entry> support) const;

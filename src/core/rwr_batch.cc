@@ -92,7 +92,7 @@ void RwrBatchEngine::VisitColumn(const RwrBatchWorkspace& ws, size_t num_nodes,
 }
 
 template <typename FinalizeCol, typename FinalizeRest>
-void RwrBatchEngine::Run(std::span<const NodeId> sources,
+void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
                          RwrBatchWorkspace& ws, FinalizeCol&& on_converged,
                          FinalizeRest&& on_done) const {
   const CommGraph& g = cache_->graph();
@@ -110,14 +110,25 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
   // Frontier bookkeeping stops paying for itself once most rows are live.
   const size_t dense_threshold = n / 4;
 
-  // Seed each column with unit mass at its source; the initial frontier is
-  // the sorted, deduplicated source set.
+  // Seed each column with its start distribution (unit mass at its source
+  // unless seeded); the initial frontier is the sorted, deduplicated union
+  // of the seeded rows.
+  COMMSIG_CHECK(seeds.empty() || seeds.size() == B,
+                "RWR seeds must be index-aligned with the sources");
+  auto seed_row = [&](NodeId x, size_t b, double mass) {
+    COMMSIG_CHECK(x < n, "RWR start node out of range");
+    ws.r[static_cast<size_t>(x) * B + b] = mass;
+    if (!ws.in_next[x]) {
+      ws.in_next[x] = 1;
+      ws.frontier.push_back(x);
+    }
+  };
   for (size_t b = 0; b < B; ++b) {
     COMMSIG_CHECK(sources[b] < n, "RWR source out of range");
-    ws.r[static_cast<size_t>(sources[b]) * B + b] = 1.0;
-    if (!ws.in_next[sources[b]]) {
-      ws.in_next[sources[b]] = 1;
-      ws.frontier.push_back(sources[b]);
+    if (seeds.empty() || seeds[b].empty()) {
+      seed_row(sources[b], b, 1.0);
+    } else {
+      for (const Signature::Entry& e : seeds[b]) seed_row(e.node, b, e.weight);
     }
   }
   std::sort(ws.frontier.begin(), ws.frontier.end());
@@ -131,7 +142,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
   // each row carries mass for one or two sources — take a scalar
   // per-column path; rows most columns share take the contiguous B-wide
   // multiply-add, which vectorizes. Either way each column adds the same
-  // terms in the same edge order as the serial path (RWR^h bit-identity).
+  // terms in the same edge order as a serial scan of its own column.
   auto scatter_row = [&](NodeId x, bool track) {
     const double* mass = &ws.r[static_cast<size_t>(x) * B];
     if (!cache_->walkable(x)) {
@@ -184,7 +195,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
         double* row = &ws.next[static_cast<size_t>(e.node) * B];
         // 4-wide multiply-add over the column block; strictly elementwise
         // (no FMA, no reassociation), so each column still adds the same
-        // terms in the same edge order as the serial path.
+        // terms in the same edge order as a serial scan.
         simd::AxpyRow(row, ws.scale.data(), e.weight, B);
       }
     };
@@ -342,19 +353,20 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
   COMMSIG_COUNTER_ADD("rwr/batch_dense_iterations", dense_iters);
 }
 
-std::vector<RwrScheme::RwrSolve> RwrBatchEngine::SolveBatch(
-    std::span<const NodeId> sources) const {
-  return SolveBatch(sources, LocalWorkspace());
+std::vector<RwrSolve> RwrBatchEngine::SolveBatch(
+    std::span<const NodeId> sources, ColumnSeeds seeds) const {
+  return SolveBatch(sources, LocalWorkspace(), seeds);
 }
 
-std::vector<RwrScheme::RwrSolve> RwrBatchEngine::SolveBatch(
-    std::span<const NodeId> sources, RwrBatchWorkspace& ws) const {
+std::vector<RwrSolve> RwrBatchEngine::SolveBatch(
+    std::span<const NodeId> sources, RwrBatchWorkspace& ws,
+    ColumnSeeds seeds) const {
   const size_t n = cache_->num_nodes();
   const size_t B = sources.size();
   const bool truncated = opts_.max_hops > 0;
-  std::vector<RwrScheme::RwrSolve> solves(B);
+  std::vector<RwrSolve> solves(B);
   auto extract = [&](size_t b, bool converged, double residual, size_t iters) {
-    RwrScheme::RwrSolve& s = solves[b];
+    RwrSolve& s = solves[b];
     s.probabilities.assign(n, 0.0);
     VisitColumn(ws, n, B, b,
                 [&](NodeId x, double val) { s.probabilities[x] = val; });
@@ -362,7 +374,7 @@ std::vector<RwrScheme::RwrSolve> RwrBatchEngine::SolveBatch(
     s.residual = residual;
     s.iterations = iters;
   };
-  Run(sources, ws,
+  Run(sources, seeds, ws,
       [&](size_t b, double residual, size_t iters) {
         extract(b, /*converged=*/true, residual, iters);
       },
@@ -379,14 +391,14 @@ void RwrBatchEngine::SolveBatchSupport(
     std::span<const NodeId> sources, RwrBatchWorkspace& ws,
     std::vector<Signature::Entry>& entries,
     std::vector<std::pair<size_t, size_t>>& ranges,
-    std::vector<uint8_t>& converged) const {
+    std::vector<uint8_t>& converged, ColumnSeeds seeds) const {
   const size_t n = cache_->num_nodes();
   const size_t B = sources.size();
   const bool truncated = opts_.max_hops > 0;
   entries.clear();
   ranges.assign(B, {0, 0});
   converged.assign(B, 0);
-  Run(sources, ws,
+  Run(sources, seeds, ws,
       [&](size_t b, double /*residual*/, size_t /*iters*/) {
         const size_t start = entries.size();
         VisitColumn(ws, n, B, b, [&](NodeId x, double val) {

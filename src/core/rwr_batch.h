@@ -5,7 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "core/rwr.h"
+#include "core/scheme.h"
+#include "core/signature.h"
 #include "graph/comm_graph.h"
 
 namespace commsig {
@@ -40,10 +41,9 @@ class TransitionCache {
   double norm(NodeId x) const { return norm_[x]; }
 
   /// 1 / norm(x) (0 for dangling rows), precomputed so the power-iteration
-  /// inner loops multiply instead of divide — divisions were the single
-  /// largest arithmetic cost of a sweep. Both the serial and batched
-  /// solvers scale by this, keeping their results bit-identical to each
-  /// other.
+  /// inner loop multiplies instead of divides — divisions were the single
+  /// largest arithmetic cost of a sweep. The incremental drift bound scales
+  /// transition rows by the same value.
   double inv_norm(NodeId x) const { return inv_norm_[x]; }
 
   /// True iff `x` has traversable edges. Walks at non-walkable (dangling)
@@ -61,6 +61,17 @@ class TransitionCache {
   std::vector<double> inv_norm_;
   std::vector<uint8_t> walkable_;
   size_t num_walkable_ = 0;
+};
+
+/// Outcome of one column's power iteration, including whether the
+/// unbounded walk actually met its tolerance. Callers that need
+/// trustworthy probabilities (anomaly scoring, drift bounds) must check
+/// `converged` rather than assume the cap was never hit.
+struct RwrSolve {
+  std::vector<double> probabilities;  // sums to 1; index = node id
+  bool converged = false;  // always true for truncated RWR^h walks
+  double residual = 0.0;   // last L1 step change (unbounded walks only)
+  size_t iterations = 0;
 };
 
 /// Reusable scratch for RwrBatchEngine::SolveBatch. All buffers grow to the
@@ -102,11 +113,20 @@ struct RwrBatchWorkspace {
 ///    remaining iterations instead of being recomputed to the slowest
 ///    column's horizon.
 ///
-/// Per-column results are bit-identical to RwrScheme::Solve for truncated
-/// RWR^h walks (same additions in the same order), and match within solver
-/// tolerance for unbounded walks.
+/// This is commsig's only RWR power iteration: RwrScheme's Compute,
+/// ComputeAll and incremental warm starts all run through it. Each column
+/// adds the same terms in the same order as a serial single-source scan
+/// over all n rows (the test oracle tests/oracle/rwr_reference.h), so
+/// column results do not depend on batch width or on the other columns.
 class RwrBatchEngine {
  public:
+  /// Optional per-column start distributions, index-aligned with the
+  /// sources: column b starts from seeds[b], a sparse support ascending by
+  /// node id (the caller normalizes it). An empty span — or an empty
+  /// `seeds` — starts that column from unit mass at its source. Resets
+  /// still return mass to the source.
+  using ColumnSeeds = std::span<const std::span<const Signature::Entry>>;
+
   /// Number of source columns a batch window holds by default. Wide enough
   /// to amortize the graph scan and fill vector lanes, small enough that
   /// the n × B state of a 20k-node window stays cache-resident.
@@ -116,17 +136,19 @@ class RwrBatchEngine {
   /// `opts.traversal` (checked).
   RwrBatchEngine(const RwrOptions& opts, const TransitionCache& cache);
 
-  /// Solves all sources as one block power iteration. `solves[i]` is
-  /// index-aligned with `sources[i]`; duplicate sources are allowed.
-  /// Memory is O(n · sources.size()), so callers should window large
-  /// populations (kDefaultBatchWidth at a time) rather than pass them
-  /// whole.
-  std::vector<RwrScheme::RwrSolve> SolveBatch(std::span<const NodeId> sources,
-                                              RwrBatchWorkspace& ws) const;
+  /// Solves all sources as one block power iteration and densifies each
+  /// column into an n-length vector — the accessor tests and benches use.
+  /// `solves[i]` is index-aligned with `sources[i]`; duplicate sources are
+  /// allowed. Memory is O(n · sources.size()), so callers should window
+  /// large populations (kDefaultBatchWidth at a time) rather than pass
+  /// them whole.
+  std::vector<RwrSolve> SolveBatch(std::span<const NodeId> sources,
+                                   RwrBatchWorkspace& ws,
+                                   ColumnSeeds seeds = {}) const;
 
   /// Convenience overload using the calling thread's reusable workspace.
-  std::vector<RwrScheme::RwrSolve> SolveBatch(
-      std::span<const NodeId> sources) const;
+  std::vector<RwrSolve> SolveBatch(std::span<const NodeId> sources,
+                                   ColumnSeeds seeds = {}) const;
 
   /// Sweep-oriented variant: solves the batch and stores each column's
   /// nonzero (node, probability) entries — ascending by node id — into
@@ -141,7 +163,8 @@ class RwrBatchEngine {
                          RwrBatchWorkspace& ws,
                          std::vector<Signature::Entry>& entries,
                          std::vector<std::pair<size_t, size_t>>& ranges,
-                         std::vector<uint8_t>& converged) const;
+                         std::vector<uint8_t>& converged,
+                         ColumnSeeds seeds = {}) const;
 
   /// The calling thread's lazily constructed scratch workspace
   /// (thread_local, so never shared; the reference must not be handed to
@@ -159,8 +182,9 @@ class RwrBatchEngine {
   /// workspace arrays). Restores the workspace's all-zero invariant before
   /// returning.
   template <typename FinalizeCol, typename FinalizeRest>
-  void Run(std::span<const NodeId> sources, RwrBatchWorkspace& ws,
-           FinalizeCol&& on_converged, FinalizeRest&& on_done) const;
+  void Run(std::span<const NodeId> sources, ColumnSeeds seeds,
+           RwrBatchWorkspace& ws, FinalizeCol&& on_converged,
+           FinalizeRest&& on_done) const;
 
   /// Invokes fn(node, probability) for each nonzero entry of column b,
   /// ascending by node id.

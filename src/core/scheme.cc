@@ -1,7 +1,12 @@
 #include "core/scheme.h"
 
+#include <algorithm>
 #include <array>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "core/rwr_push.h"
 #include "graph/graph_delta.h"
@@ -96,43 +101,69 @@ bool SignatureScheme::KeepCandidate(const CommGraph& g, NodeId focal,
 
 namespace {
 
-// Parses "key=value" pairs inside "rwr(...)".
-bool ParseRwrParams(std::string_view params, RwrOptions& opts,
-                    bool& has_hops) {
-  has_hops = false;
-  while (!params.empty()) {
-    size_t comma = params.find(',');
-    std::string_view item =
-        comma == std::string_view::npos ? params : params.substr(0, comma);
-    params = comma == std::string_view::npos ? std::string_view{}
-                                             : params.substr(comma + 1);
-    size_t eq = item.find('=');
-    if (eq == std::string_view::npos) return false;
-    std::string key(item.substr(0, eq));
-    std::string value(item.substr(eq + 1));
-    char* end = nullptr;
-    if (key == "c") {
-      opts.reset = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() + value.size()) return false;
-      if (opts.reset < 0.0 || opts.reset > 1.0) return false;
-    } else if (key == "h") {
-      unsigned long h = std::strtoul(value.c_str(), &end, 10);
-      if (end != value.c_str() + value.size()) return false;
-      opts.max_hops = h;
-      has_hops = true;
-    } else if (key == "mode") {
-      if (value == "directed") {
-        opts.traversal = TraversalMode::kDirected;
-      } else if (value == "symmetric") {
-        opts.traversal = TraversalMode::kSymmetric;
-      } else {
-        return false;
-      }
-    } else {
-      return false;
-    }
+/// Upper bound on rwr-push's work bound 1 / (c * eps): about a second of
+/// pushes. The default spec (c = 0.1, eps = 1e-6) is 1e7.
+constexpr double kMaxPushWork = 1e9;
+
+/// A finite number spelling the whole token (no NaN, no infinity, no
+/// overflow).
+bool ParseFinite(std::string_view text, double& out) {
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  return ec == std::errc() && end == text.data() + text.size() &&
+         std::isfinite(out);
+}
+
+/// A non-negative integer spelling the whole token: no sign, no wrap.
+bool ParseCount(std::string_view text, size_t& out) {
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  return ec == std::errc() && end == text.data() + text.size();
+}
+
+bool ParseMode(std::string_view text, TraversalMode& out) {
+  if (text == "directed") {
+    out = TraversalMode::kDirected;
+  } else if (text == "symmetric") {
+    out = TraversalMode::kSymmetric;
+  } else {
+    return false;
   }
   return true;
+}
+
+/// Parses `spec` as `name` or `name(key=value,...)`, handing each pair to
+/// `apply`, which returns false for an unknown key or a bad value.
+/// Malformed items and repeated keys are rejected here.
+Status ParseSchemeParams(
+    std::string_view spec, std::string_view name,
+    const std::function<bool(std::string_view key, std::string_view value)>&
+        apply) {
+  if (spec == name) return Status::OK();
+  if (spec.size() < name.size() + 2 || spec[name.size()] != '(' ||
+      spec.back() != ')') {
+    return Status::InvalidArgument("bad " + std::string(name) +
+                                   " spec: " + std::string(spec));
+  }
+  std::string_view params =
+      spec.substr(name.size() + 1, spec.size() - name.size() - 2);
+  std::vector<std::string_view> seen;
+  while (!params.empty()) {
+    const size_t comma = params.find(',');
+    const std::string_view item = params.substr(0, comma);
+    params = comma == std::string_view::npos ? std::string_view{}
+                                             : params.substr(comma + 1);
+    const size_t eq = item.find('=');
+    const std::string_view key = item.substr(0, eq);
+    if (eq == std::string_view::npos ||
+        std::find(seen.begin(), seen.end(), key) != seen.end() ||
+        !apply(key, item.substr(eq + 1))) {
+      return Status::InvalidArgument("bad " + std::string(name) +
+                                     " params: " + std::string(spec));
+    }
+    seen.push_back(key);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -146,65 +177,45 @@ Result<std::unique_ptr<SignatureScheme>> CreateScheme(std::string_view spec,
   if (spec == "ut-tfidf") {
     return MakeUnexpectedTalkers(options, UtWeighting::kTfIdf);
   }
-  if (spec.rfind("rwr-push", 0) == 0) {
+  if (spec.starts_with("rwr-push")) {
     RwrPushOptions push;
-    if (spec != "rwr-push") {
-      if (spec.size() < 10 || spec[8] != '(' || spec.back() != ')') {
-        return Status::InvalidArgument("bad rwr-push spec: " +
-                                       std::string(spec));
-      }
-      std::string_view params = spec.substr(9, spec.size() - 10);
-      while (!params.empty()) {
-        size_t comma = params.find(',');
-        std::string_view item = comma == std::string_view::npos
-                                    ? params
-                                    : params.substr(0, comma);
-        params = comma == std::string_view::npos ? std::string_view{}
-                                                 : params.substr(comma + 1);
-        size_t eq = item.find('=');
-        if (eq == std::string_view::npos) {
-          return Status::InvalidArgument("bad rwr-push param");
-        }
-        std::string key(item.substr(0, eq));
-        std::string value(item.substr(eq + 1));
-        char* end = nullptr;
-        if (key == "c") {
-          push.reset = std::strtod(value.c_str(), &end);
-          if (end != value.c_str() + value.size() || push.reset <= 0.0 ||
-              push.reset > 1.0) {
-            return Status::InvalidArgument("bad rwr-push c");
+    Status parsed = ParseSchemeParams(
+        spec, "rwr-push", [&](std::string_view key, std::string_view value) {
+          if (key == "c") {
+            return ParseFinite(value, push.reset) && push.reset > 0.0 &&
+                   push.reset <= 1.0;
           }
-        } else if (key == "eps") {
-          push.epsilon = std::strtod(value.c_str(), &end);
-          if (end != value.c_str() + value.size() || push.epsilon <= 0.0) {
-            return Status::InvalidArgument("bad rwr-push eps");
+          if (key == "eps") {
+            return ParseFinite(value, push.epsilon) && push.epsilon > 0.0;
           }
-        } else if (key == "mode") {
-          if (value == "directed") {
-            push.traversal = TraversalMode::kDirected;
-          } else if (value == "symmetric") {
-            push.traversal = TraversalMode::kSymmetric;
-          } else {
-            return Status::InvalidArgument("bad rwr-push mode");
-          }
-        } else {
-          return Status::InvalidArgument("unknown rwr-push param: " + key);
-        }
-      }
+          return key == "mode" && ParseMode(value, push.traversal);
+        });
+    if (!parsed.ok()) return parsed;
+    // Push work grows as 1 / (c * eps); past kMaxPushWork a spec is a hang,
+    // not a finer estimate.
+    if (push.reset * push.epsilon < 1.0 / kMaxPushWork) {
+      return Status::InvalidArgument("bad rwr-push params: " +
+                                     std::string(spec));
     }
     return MakeRwrPush(options, push);
   }
-  if (spec.rfind("rwr", 0) == 0) {
+  if (spec.starts_with("rwr")) {
     RwrOptions rwr;
-    if (spec != "rwr") {
-      if (spec.size() < 5 || spec[3] != '(' || spec.back() != ')') {
-        return Status::InvalidArgument("bad rwr spec: " + std::string(spec));
-      }
-      bool has_hops = false;
-      if (!ParseRwrParams(spec.substr(4, spec.size() - 5), rwr, has_hops)) {
-        return Status::InvalidArgument("bad rwr params: " + std::string(spec));
-      }
-    }
+    Status parsed = ParseSchemeParams(
+        spec, "rwr", [&](std::string_view key, std::string_view value) {
+          if (key == "c") {
+            return ParseFinite(value, rwr.reset) && rwr.reset >= 0.0 &&
+                   rwr.reset <= 1.0;
+          }
+          // More hops than the unbounded walk's iteration cap change
+          // nothing measurable and only cost time.
+          if (key == "h") {
+            return ParseCount(value, rwr.max_hops) &&
+                   rwr.max_hops <= rwr.max_iterations;
+          }
+          return key == "mode" && ParseMode(value, rwr.traversal);
+        });
+    if (!parsed.ok()) return parsed;
     return MakeRwr(options, rwr);
   }
   return Status::InvalidArgument("unknown scheme spec: " + std::string(spec));

@@ -206,32 +206,13 @@ struct RwrOptions {
   size_t max_iterations = 500;
 
   /// Degradation ladder: when the unbounded walk hits max_iterations
-  /// without meeting `tolerance`, Compute falls back to the truncated
+  /// without meeting `tolerance`, the scheme falls back to the truncated
   /// RWR^h walk with this hop bound instead of silently using the
   /// unconverged vector. 0 disables the fallback (the unconverged vector
   /// is used as-is). Fallbacks are counted under `robust/rwr_fallbacks`.
   size_t fallback_hops = 4;
 
   TraversalMode traversal = TraversalMode::kSymmetric;
-
-  /// Incremental sweeps (IncrementalComputeAll): a focal node's previous
-  /// signature is reused while its accumulated drift-bound estimate —
-  /// sum over its stored stationary support of occupancy mass times the
-  /// changed rows' normalized-transition L1 drift, scaled by the walk's
-  /// geometric amplification factor — stays at or below this L1 bound.
-  /// 0 disables reuse entirely (every node re-solves each window); nodes
-  /// whose support touches no changed row estimate exactly 0 and are
-  /// reused at any setting. See DESIGN.md §11 for the bound.
-  double incremental_max_drift = 1e-6;
-
-  /// Unbounded walks whose drift estimate exceeds incremental_max_drift
-  /// but stays at or below this limit are warm-started: the power
-  /// iteration is seeded with the previous stationary vector, so it pays
-  /// ~ln(drift/tolerance) contraction steps instead of ~ln(1/tolerance).
-  /// Above the limit (or when the warm solve fails to converge) the node
-  /// joins the cold batched re-solve, counted under
-  /// `timeline/rwr_warm_start_fallbacks`.
-  double incremental_warm_drift = 0.25;
 };
 
 /// Factory helpers.
@@ -246,7 +227,9 @@ std::unique_ptr<SignatureScheme> MakeRwr(SchemeOptions options,
 ///   "tt" | "ut" | "ut-tfidf" | "rwr(c=C)" | "rwr(c=C,h=H)"
 ///   | "rwr-push(c=C,eps=E)"
 /// rwr specs also accept "mode=directed|symmetric".
-/// Returns InvalidArgument for unknown specs or malformed parameters.
+/// Returns InvalidArgument for unknown specs or malformed parameters,
+/// including H above RwrOptions::max_iterations and push work bounds
+/// 1 / (C * E) above 1e9.
 Result<std::unique_ptr<SignatureScheme>> CreateScheme(std::string_view spec,
                                                       SchemeOptions options);
 

@@ -4,7 +4,7 @@
 // Format-level record decoding for the ingestion pipeline (ingest/pipeline,
 // ingest/chunker), the only code that reads input files. Accept/reject
 // decisions and rejection detail strings live here and nowhere else; the
-// test oracle (tests/ingest/serial_reference) calls the same functions from
+// test oracle (tests/oracle/serial_reference) calls the same functions from
 // its row-at-a-time loops, so the pipeline is checked against an
 // independent reader without a second copy of the row grammar.
 

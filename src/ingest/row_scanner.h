@@ -14,7 +14,7 @@
 // buffer, the sequence of (line, fields[0..min(count,max)), total count,
 // line_number) produced here is identical to the test oracle's
 // LineScanner::Next followed by SplitFields(line, delim, fields, max)
-// (tests/ingest/serial_reference.h): lines split on '\n', one trailing
+// (tests/oracle/serial_reference.h): lines split on '\n', one trailing
 // '\r' stripped, blank lines and '#' comments skipped without counting,
 // a final line without a newline still returned, and the TOTAL field count
 // reported even when it exceeds `max_fields`.

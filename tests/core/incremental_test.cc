@@ -89,9 +89,10 @@ TEST(IncrementalEngineTest, UnexpectedTalkersMatchesScratchBitForBit) {
 }
 
 TEST(IncrementalEngineTest, RwrStaysWithinDocumentedEpsilon) {
-  // The reuse bound admits deviations up to incremental_max_drift plus
-  // solver tolerance on either side; 1e-5 comfortably covers the 1e-6
-  // default bound and is far below any signature-level decision threshold.
+  // The reuse bound admits deviations up to the 1e-6 drift bound
+  // (kIncrementalMaxDrift in core/rwr.cc) plus solver tolerance on either
+  // side; 1e-5 comfortably covers it and is far below any signature-level
+  // decision threshold.
   for (size_t max_hops : {size_t{0}, size_t{3}}) {
     RwrOptions rwr;
     rwr.max_hops = max_hops;

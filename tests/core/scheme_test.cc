@@ -111,6 +111,36 @@ TEST(CreateSchemeTest, RejectsMalformedRwrSpecs) {
   EXPECT_FALSE(CreateScheme("rwr(mode=sideways)", {}).ok());
 }
 
+// rwr(...) and rwr-push(...) share one parameter parser. Each of these
+// used to be accepted: h=-1 wrapped to 2^64 - 1 hops (a hang), NaN and
+// infinite reals produced no signatures, and a repeated key silently
+// overrode the first. Hop counts past the unbounded walk's iteration cap
+// and push work bounds 1 / (c * eps) past 1e9 are hangs too.
+TEST(CreateSchemeTest, RejectsNonFiniteNegativeOverflowingAndRepeatedParams) {
+  for (const char* spec :
+       {"rwr(c=nan)", "rwr(c=inf)", "rwr(c=-0.1)", "rwr(c=0.1,h=-1)",
+        "rwr(h=18446744073709551616)", "rwr(h=18446744073709551615)",
+        "rwr(h=10000000000)", "rwr(h=501)", "rwr(h=3x)", "rwr(h=)",
+        "rwr(c=0.1,c=0.2)", "rwr(h=3,mode=directed,h=3)", "rwr(c=0.1,,h=3)",
+        "rwr-push(c=nan,eps=inf)", "rwr-push(eps=inf)", "rwr-push(eps=nan)",
+        "rwr-push(c=inf)", "rwr-push(eps=1e-300)", "rwr-push(eps=1e-9)",
+        "rwr-push(c=1e-300)", "rwr-push(eps=1e-5,eps=1e-6)",
+        "rwr-push(mode=directed,mode=symmetric)"}) {
+    auto scheme = CreateScheme(spec, {});
+    ASSERT_FALSE(scheme.ok()) << spec;
+    EXPECT_EQ(scheme.status().code(), Status::Code::kInvalidArgument) << spec;
+  }
+}
+
+TEST(CreateSchemeTest, AcceptsBoundaryParams) {
+  for (const char* spec :
+       {"rwr()", "rwr(c=0)", "rwr(c=1,h=0)", "rwr(h=500)",
+        "rwr(c=1e-3,h=2,mode=symmetric)", "rwr-push()",
+        "rwr-push(c=1,eps=1e-9,mode=directed)", "rwr-push(c=0.1,eps=1e-7)"}) {
+    EXPECT_TRUE(CreateScheme(spec, {}).ok()) << spec;
+  }
+}
+
 TEST(CreateSchemeTest, RoundTripsNames) {
   for (const char* spec : {"tt", "ut", "ut-tfidf"}) {
     auto scheme = CreateScheme(spec, {.k = 3});

@@ -30,6 +30,7 @@
 #include "core/rwr_batch.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "oracle/distance_reference.h"
 
 namespace commsig {
 namespace {
@@ -195,9 +196,8 @@ CommGraph RandomGraph(size_t n, double edge_prob, uint64_t seed) {
   return std::move(b).Build();
 }
 
-std::vector<RwrScheme::RwrSolve> SolveAll(const TransitionCache& cache,
-                                          const RwrOptions& opts,
-                                          size_t n) {
+std::vector<RwrSolve> SolveAll(const TransitionCache& cache,
+                               const RwrOptions& opts, size_t n) {
   std::vector<NodeId> sources(n);
   std::iota(sources.begin(), sources.end(), 0);
   RwrBatchEngine engine(opts, cache);
@@ -219,7 +219,7 @@ TEST(SimdRwrTest, ScalarToggleBitIdenticalTruncatedAndUnbounded) {
                    .max_hops = 4,
                    .traversal = TraversalMode::kSymmetric}}) {
     TransitionCache cache(g, opts.traversal);
-    std::vector<RwrScheme::RwrSolve> simd_solves, scalar_solves;
+    std::vector<RwrSolve> simd_solves, scalar_solves;
     {
       simd::SetEnabled(true);
       simd_solves = SolveAll(cache, opts, g.NumNodes());

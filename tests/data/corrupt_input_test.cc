@@ -12,7 +12,7 @@
 #include "data/trace_io.h"
 #include "graph/graph_io.h"
 #include "ingest/pipeline.h"
-#include "ingest/serial_reference.h"
+#include "oracle/serial_reference.h"
 #include "robust/record_errors.h"
 
 namespace commsig {

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ingest/pipeline.h"
-#include "ingest/serial_reference.h"
+#include "oracle/serial_reference.h"
 
 namespace commsig {
 namespace {

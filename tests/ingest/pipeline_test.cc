@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "data/netflow.h"
-#include "ingest/serial_reference.h"
+#include "oracle/serial_reference.h"
 #include "obs/window_stats.h"
 
 namespace commsig::ingest {
@@ -20,7 +20,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Golden-hash fingerprints: FNV-1a over every observable output of a read —
 // events/graphs/signatures, the interner's id assignment, and the error log.
-// The serial reference (tests/ingest/serial_reference.h) and the pipeline,
+// The serial reference (tests/oracle/serial_reference.h) and the pipeline,
 // inline or threaded, must produce the same hash bit for bit.
 // ---------------------------------------------------------------------------
 

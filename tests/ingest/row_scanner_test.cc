@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ingest/serial_reference.h"
+#include "oracle/serial_reference.h"
 
 namespace commsig::ingest {
 namespace {

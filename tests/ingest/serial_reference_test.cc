@@ -3,7 +3,7 @@
 // LineScanner + SplitFields, and SplitFields against SplitCsvLine, so these
 // references must themselves be right.
 
-#include "ingest/serial_reference.h"
+#include "oracle/serial_reference.h"
 
 #include <unistd.h>
 

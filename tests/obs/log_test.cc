@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "json_check.h"
@@ -25,9 +27,15 @@ std::vector<std::string> ReadLines(const std::string& path) {
 
 /// The sink is a process-wide singleton; every test restores the defaults
 /// so ordering between tests (and other suites in this binary) stays moot.
+/// Each test writes its own file, named after the test and the process:
+/// ctest runs the tests as parallel processes, and a shared path would let
+/// one test's setup delete another's log mid-run.
 class LogTest : public ::testing::Test {
  protected:
-  LogTest() : path_(::testing::TempDir() + "/commsig_log_test.jsonl") {
+  LogTest()
+      : path_(::testing::TempDir() + "/commsig_log_test_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              "_" + std::to_string(::getpid()) + ".jsonl") {
     std::remove(path_.c_str());
     LogSink::Global().SetStderrEnabled(false);
     LogSink::Global().SetMinLevel(LogLevel::kDebug);

@@ -18,6 +18,7 @@
 #include "eval/perturb.h"
 #include "graph/graph_builder.h"
 #include "graph/windower.h"
+#include "oracle/rwr_reference.h"
 #include "sketch/streaming_signatures.h"
 
 namespace commsig {
@@ -128,10 +129,10 @@ TEST_P(SeededPropertyTest, RwrMassConservationOnRandomGraphs) {
   for (TraversalMode mode :
        {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
     for (size_t hops : {0u, 1u, 4u}) {
-      RwrScheme rwr({.k = 10},
-                    {.reset = 0.15, .max_hops = hops, .traversal = mode});
+      const RwrOptions opts{.reset = 0.15, .max_hops = hops,
+                            .traversal = mode};
       NodeId start = static_cast<NodeId>(rng.UniformInt(40));
-      auto r = rwr.StationaryVector(g, start);
+      auto r = RwrEngineSolve(g, opts, start).probabilities;
       double total = std::accumulate(r.begin(), r.end(), 0.0);
       EXPECT_NEAR(total, 1.0, 1e-8)
           << "mode " << static_cast<int>(mode) << " hops " << hops;

@@ -12,6 +12,7 @@
 #include "core/signature.h"
 #include "graph/graph_builder.h"
 #include "graph/windower.h"
+#include "oracle/rwr_reference.h"
 
 namespace commsig {
 namespace {
@@ -26,7 +27,7 @@ CommGraph RingGraph(size_t n) {
 
 TEST(RwrConvergenceTest, SolveReportsConvergence) {
   RwrScheme scheme({.k = 5}, RwrOptions{});
-  auto solve = scheme.Solve(RingGraph(8), 0);
+  auto solve = RwrEngineSolve(RingGraph(8), scheme.rwr_options(), 0);
   EXPECT_TRUE(solve.converged);
   EXPECT_LT(solve.residual, scheme.rwr_options().tolerance);
   EXPECT_GT(solve.iterations, 0u);
@@ -40,7 +41,7 @@ TEST(RwrConvergenceTest, IterationCapReportsNonConvergence) {
   opts.max_iterations = 1;  // cannot reach 1e-10 in one step
   opts.fallback_hops = 0;
   RwrScheme scheme({.k = 5}, opts);
-  auto solve = scheme.Solve(RingGraph(16), 0);
+  auto solve = RwrEngineSolve(RingGraph(16), scheme.rwr_options(), 0);
   EXPECT_FALSE(solve.converged);
   EXPECT_EQ(solve.iterations, 1u);
   EXPECT_GT(solve.residual, opts.tolerance);
@@ -50,7 +51,8 @@ TEST(RwrConvergenceTest, TruncatedWalkConvergesByDefinition) {
   RwrOptions opts;
   opts.max_hops = 3;
   RwrScheme scheme({.k = 5}, opts);
-  EXPECT_TRUE(scheme.Solve(RingGraph(16), 0).converged);
+  EXPECT_TRUE(
+      RwrEngineSolve(RingGraph(16), scheme.rwr_options(), 0).converged);
 }
 
 TEST(RwrConvergenceTest, ComputeFallsBackToTruncatedWalk) {

@@ -5,8 +5,10 @@ Each comparing subcommand is run with a bad flag and a --trace path that
 does not exist. A bad --scheme / --dist must exit 1 with a
 `bad_scheme_or_distance` log line whose `error` field names the bad value.
 A bad ingestion flag (--parse-workers, --io-chunk-kb, --ingest-queue,
---backpressure) must exit 2 with `invalid value for --<flag>`. Neither may
-have tried to open the trace (no `trace_load_failed`, no `io_retry`).
+--backpressure) must exit 2 with `invalid value for --<flag>`. A malformed
+argv (unknown flag name, stray positional token, last flag without a
+value) must exit 2 naming the problem. None may have tried to open the
+trace (no `trace_load_failed`, no `io_retry`).
 
 Usage: cli_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
@@ -22,6 +24,8 @@ import unittest
 COMMSIG = None  # resolved in main()
 
 COMMANDS = ("selfmatch", "multiusage", "masquerade", "anomalies", "timeline")
+ALL_COMMANDS = ("signatures",) + COMMANDS + ("stream", "faultcheck",
+                                             "chaoscheck")
 
 
 class CliFlagsTest(unittest.TestCase):
@@ -56,6 +60,57 @@ class CliFlagsTest(unittest.TestCase):
             with self.subTest(command=command):
                 self.expect_flag_error(command, "--scheme", "tx",
                                        "unknown scheme spec: tx")
+
+    def test_bad_scheme_params_fail_before_io(self):
+        cases = (
+            # Wrapped to 2^64 - 1 hops and hung.
+            ("rwr(c=0.1,h=-1)", "bad rwr params"),
+            ("rwr(h=99999999999999999999)", "bad rwr params"),
+            # Parsed, then walked 2^64 - 1 hops or pushed ~1e300 times.
+            ("rwr(h=18446744073709551615)", "bad rwr params"),
+            ("rwr-push(eps=1e-300)", "bad rwr-push params"),
+            # Exited 0 and printed no signatures.
+            ("rwr(c=nan)", "bad rwr params"),
+            ("rwr-push(c=nan,eps=inf)", "bad rwr-push params"),
+            # The second value silently won.
+            ("rwr(c=0.1,c=0.5)", "bad rwr params"),
+        )
+        for command in COMMANDS:
+            for spec, fragment in cases:
+                with self.subTest(command=command, spec=spec):
+                    self.expect_flag_error(command, "--scheme", spec,
+                                           fragment)
+
+    def expect_usage_error(self, argv, message):
+        proc = subprocess.run([COMMSIG, *argv], capture_output=True,
+                              text=True, timeout=60)
+        self.assertEqual(proc.returncode, 2, f"{argv}: {proc.stderr}")
+        self.assertIn(message, proc.stderr)
+        self.assertIn("usage: commsig", proc.stderr)
+        self.assertNotIn("trace_load_failed", proc.stderr)
+        self.assertNotIn("io_retry", proc.stderr)
+
+    def test_malformed_argv_fails_before_io(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            missing = os.path.join(tmp, "no_such_trace.csv")
+            cases = (
+                # A last flag without its value used to be dropped.
+                (["--trace", missing, "--k"], "missing value for --k"),
+                # A stray token used to be dropped at the end of argv.
+                (["--trace", missing, "extra"],
+                 "unexpected argument 'extra'"),
+                (["extra", "--trace", missing],
+                 "unexpected argument 'extra'"),
+                # Typos used to be ignored: the run went on at defaults.
+                (["--kk", "3", "--tread", "4", "--trace", missing],
+                 "unknown flag --kk"),
+                (["--trace", missing, "--parse-worker", "4"],
+                 "unknown flag --parse-worker"),
+            )
+            for command in ALL_COMMANDS:
+                for argv, message in cases:
+                    with self.subTest(command=command, argv=argv):
+                        self.expect_usage_error([command, *argv], message)
 
     def test_bad_ingest_flags_fail_before_io(self):
         cases = (

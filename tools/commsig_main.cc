@@ -18,6 +18,9 @@
 //               sliding) window sequence, computed incrementally with
 //               dirty-node tracking or from scratch
 //
+// Flags are `--name value` pairs. An unknown name, a token that is not a
+// flag, or a last flag without its value exits 2 before any IO.
+//
 // Common flags:
 //   --trace PATHS       input trace CSV (this or --netflow is required);
 //                       comma-separated paths concatenate multiple files
@@ -156,6 +159,7 @@
 //   commsig selfmatch --trace flows.csv --window-length 432000
 //       --scheme 'rwr(c=0.1,h=3)' --dist shel     (one line)
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -163,9 +167,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -176,6 +183,7 @@
 #include "apps/masquerade_detector.h"
 #include "apps/multiusage.h"
 #include "common/bytes.h"
+#include "common/check.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/distance.h"
@@ -208,26 +216,72 @@ namespace {
 /// Rejects a malformed flag value with a message naming the flag. Exits
 /// rather than returning: every caller would otherwise have to thread a
 /// Status through, and a CLI flag error has exactly one sensible outcome.
-[[noreturn]] void DieInvalidFlag(const std::string& key,
+[[noreturn]] void DieInvalidFlag(std::string_view key,
                                  const std::string& value,
                                  const char* expected) {
-  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
-               key.c_str(), value.c_str(), expected);
+  std::fprintf(stderr, "invalid value for --%.*s: '%s' (expected %s)\n",
+               static_cast<int>(key.size()), key.data(), value.c_str(),
+               expected);
   std::exit(2);
 }
 
+/// Every flag any subcommand reads, in one sorted list. argv is checked
+/// against it before anything else runs, so a typo exits 2 instead of
+/// being silently ignored. Reads name flags through FlagName, so reading
+/// a name missing from the list does not compile.
+constexpr std::string_view kKnownFlags[] = {
+    "backpressure", "chaos-dir", "checkpoint-dir", "checkpoint-every",
+    "dead-letter-out", "decay", "degrade-checkpoint-stretch",
+    "degrade-escalate-after", "degrade-recover-after", "delta-divisor", "dist",
+    "ell", "emit-every", "error-budget", "failpoints", "fraction",
+    "ingest-queue", "io-chunk-kb", "k", "kill-after", "log-file", "log-level",
+    "max-drift", "max-epoch-attempts", "max-lag", "max-pairs",
+    "max-total-errors", "metrics-out", "mode", "netflow", "on-error",
+    "parse-workers", "protocol", "quarantine-out", "replay-delay-us",
+    "replay-rate", "retry-deadline-ms", "retry-initial-ms", "retry-jitter",
+    "retry-max-attempts", "retry-max-ms", "retry-multiplier", "scheme", "seed",
+    "stats-linger-ms", "stats-port", "stats-stall-ms", "stride", "threads",
+    "threshold", "trace", "trace-out", "trials", "window", "window-budget-ms",
+    "window-length", "window2",
+};
+
+static_assert(std::is_sorted(std::begin(kKnownFlags), std::end(kKnownFlags)));
+
+constexpr bool IsKnownFlag(std::string_view name) {
+  return std::binary_search(std::begin(kKnownFlags), std::end(kKnownFlags),
+                            name);
+}
+
+/// A flag name checked against kKnownFlags at compile time.
+class FlagName {
+ public:
+  consteval FlagName(const char* name) : name_(name) {  // NOLINT: implicit
+    if (!IsKnownFlag(name_)) throw "flag missing from kKnownFlags";
+  }
+  operator std::string_view() const { return name_; }
+
+ private:
+  std::string_view name_;
+};
+
 struct Args {
   std::string command;
-  std::map<std::string, std::string> flags;
+  std::map<std::string, std::string, std::less<>> flags;
 
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
+  /// The value of --key, or nullptr when the flag was not given.
+  const std::string* Find(FlagName key) const {
+    auto it = flags.find(std::string_view(key));
+    return it == flags.end() ? nullptr : &it->second;
   }
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& s = it->second;
+  bool Has(FlagName key) const { return Find(key) != nullptr; }
+  std::string Get(FlagName key, const std::string& fallback) const {
+    const std::string* value = Find(key);
+    return value == nullptr ? fallback : *value;
+  }
+  uint64_t GetInt(FlagName key, uint64_t fallback) const {
+    const std::string* value = Find(key);
+    if (value == nullptr) return fallback;
+    const std::string& s = *value;
     char* end = nullptr;
     errno = 0;
     uint64_t v = std::strtoull(s.c_str(), &end, 10);
@@ -239,10 +293,10 @@ struct Args {
     }
     return v;
   }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& s = it->second;
+  double GetDouble(FlagName key, double fallback) const {
+    const std::string* value = Find(key);
+    if (value == nullptr) return fallback;
+    const std::string& s = *value;
     char* end = nullptr;
     errno = 0;
     double v = std::strtod(s.c_str(), &end);
@@ -287,7 +341,7 @@ IngestOptions IngestFromArgs(const Args& args, RecordErrorLog* log) {
 /// exact stream order. Rejects out-of-range values before any input IO.
 ingest::PipelineOptions PipelineFromArgs(const Args& args,
                                          const IngestOptions& ingest_opts) {
-  auto at_most = [&](const char* key, uint64_t fallback, uint64_t max) {
+  auto at_most = [&](FlagName key, uint64_t fallback, uint64_t max) {
     const uint64_t v = args.GetInt(key, fallback);
     if (v > max) {
       const std::string expected =
@@ -965,13 +1019,13 @@ int RunFaultcheck(const Args& args) {
           .Str("status", scheme.status().ToString());
       return 1;
     }
+    const std::vector<Signature> before = (*scheme)->ComputeAll(g0, focal);
+    const std::vector<Signature> after = (*scheme)->ComputeAll(g1, focal);
     double sum = 0.0;
     size_t n = 0;
-    for (NodeId v : focal) {
-      Signature a = (*scheme)->Compute(g0, v);
-      Signature b = (*scheme)->Compute(g1, v);
-      if (a.empty() && b.empty()) continue;
-      sum += jaccard(a, b);
+    for (size_t i = 0; i < focal.size(); ++i) {
+      if (before[i].empty() && after[i].empty()) continue;
+      sum += jaccard(before[i], after[i]);
       ++n;
     }
     const double mean = n > 0 ? sum / static_cast<double>(n) : 0.0;
@@ -1144,10 +1198,24 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Args args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) return Usage();
-    args.flags[flag.substr(2)] = argv[i + 1];
+  // Strict `--name value` pairs: a stray positional token, an unknown
+  // name, or a trailing flag without its value exits 2 before any IO.
+  for (int i = 2; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (flag.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "unexpected argument '%s'\n", flag.c_str());
+      return Usage();
+    }
+    const std::string name = flag.substr(2);
+    if (!IsKnownFlag(name)) {
+      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return Usage();
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return Usage();
+    }
+    args.flags[name] = argv[i + 1];
   }
 
   // Arm fail-points before anything does IO (including the log sink), so a
@@ -1184,7 +1252,7 @@ int Main(int argc, char** argv) {
   // /pipelinez for the lifetime of the command (plus an optional linger so
   // short runs stay probeable).
   std::unique_ptr<obs::StatsServer> stats_server;
-  if (args.flags.count("stats-port") > 0) {
+  if (args.Has("stats-port")) {
     obs::StatsServer::Options sopts;
     sopts.port = static_cast<uint16_t>(args.GetInt("stats-port", 0));
     sopts.stall_threshold_us = args.GetInt("stats-stall-ms", 30000) * 1000;
