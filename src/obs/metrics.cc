@@ -279,7 +279,8 @@ std::string MetricsSnapshot::ToPrometheus() const {
 void PreRegisterCoreMetrics() {
   MetricsRegistry& reg = MetricsRegistry::Global();
   for (const char* name :
-       {"rwr/calls", "rwr/iterations", "rwr/batch_solves",
+       {"rwr/calls", "rwr/columns_certified", "rwr/iterations",
+        "rwr/batch_solves",
         "rwr/batch_dense_iterations", "rwr/batch_sparse_iterations",
         "rwr_push/calls", "rwr_push/pushes",
         "signature/built", "distance/evaluations", "distance/pairwise_pairs",
@@ -332,7 +333,7 @@ void PreRegisterCoreMetrics() {
         "pipeline/window_build_us", "pipeline/delta_diff_us",
         "pipeline/dirty_recompute_us", "pipeline/extract_us",
         "robust/checkpoint_bytes", "robust/checkpoint_save_us",
-        "rwr/residual_at_convergence",
+        "rwr/residual_at_convergence", "rwr/certified_iteration",
         "signature/candidates", "windower/window_events",
         "ingest/batch_records"}) {
     reg.GetHistogram(name);

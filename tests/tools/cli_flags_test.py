@@ -5,9 +5,9 @@ Each comparing subcommand is run with a bad flag and a --trace path that
 does not exist. A bad --scheme / --dist must exit 1 with a
 `bad_scheme_or_distance` log line whose `error` field names the bad value.
 A bad ingestion flag (--parse-workers, --io-chunk-kb, --ingest-queue,
---backpressure) must exit 2 with `invalid value for --<flag>`. A malformed
-argv (unknown flag name, stray positional token, last flag without a
-value) must exit 2 naming the problem. None may have tried to open the
+--backpressure) or an out-of-range --k must exit 2 with `invalid value for
+--<flag>`. A malformed argv (unknown flag name, stray positional token, last
+flag without a value) must exit 2 naming the problem. None may have tried to open the
 trace (no `trace_load_failed`, no `io_retry`).
 
 Usage: cli_flags_test.py <path-to-commsig-binary>
@@ -136,6 +136,34 @@ class CliFlagsTest(unittest.TestCase):
                                   proc.stderr)
                     self.assertNotIn("trace_load_failed", proc.stderr)
                     self.assertNotIn("io_retry", proc.stderr)
+
+    def test_bad_k_fails_before_io(self):
+        cases = (
+            # Exited 0: empty signatures, or AUC 0.5 and persistence 1.0.
+            "0",
+            # Rejected only after the trace loaded (exit 1 on a missing one).
+            "-1",
+            "10001",
+            "99999999999999999999",
+            "3x",
+        )
+        for command in ALL_COMMANDS:
+            for value in cases:
+                with self.subTest(command=command, k=value):
+                    proc = self.run_cli_raw(command, "--k", value)
+                    self.assertEqual(proc.returncode, 2, proc.stderr)
+                    self.assertIn("invalid value for --k", proc.stderr)
+                    self.assertNotIn("trace_load_failed", proc.stderr)
+                    self.assertNotIn("io_retry", proc.stderr)
+
+    def test_good_k_reaches_the_loader(self):
+        for value in ("1", "10000"):
+            with self.subTest(k=value):
+                rc, events = self.run_cli("signatures", "--k", value,
+                                          "--retry-max-attempts", "1")
+                self.assertEqual(rc, 1)
+                self.assertIn("trace_load_failed",
+                              [e["event"] for e in events])
 
     def test_good_ingest_flags_reach_the_loader(self):
         rc, events = self.run_cli("signatures", "--parse-workers", "256",

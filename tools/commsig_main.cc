@@ -44,7 +44,7 @@
 //                       rwr-push(c=..,eps=..) (default tt)
 //   --dist NAME         jac | dice | sdice | shel | cos | overlap
 //                       (default shel)
-//   --k N               signature length (default 10)
+//   --k N               signature length, 1..10000 (default 10)
 //   --window I          window index (default 0)
 //   --window2 J         second window for cross-window commands (default 1)
 //   --decay THETA       accumulate windows as C'_t = theta*C'_{t-1} + C_t
@@ -308,6 +308,23 @@ struct Args {
   }
 };
 
+/// Largest accepted --k. Signatures are top-k lists built per focal node;
+/// far above the paper's k = 3..20 a signature stops being a summary.
+constexpr uint64_t kMaxK = 10000;
+
+/// The signature length --k, in [1, kMaxK]. Every command reads it, and
+/// Main checks it before any IO: k = 0 used to print empty signatures and
+/// exit 0.
+size_t KFromArgs(const Args& args) {
+  const uint64_t k = args.GetInt("k", 10);
+  if (k < 1 || k > kMaxK) {
+    const std::string expected =
+        "an integer in [1, " + std::to_string(kMaxK) + "]";
+    DieInvalidFlag("k", args.Get("k", ""), expected.c_str());
+  }
+  return static_cast<size_t>(k);
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: commsig <signatures|selfmatch|multiusage|masquerade|"
@@ -563,7 +580,7 @@ bool Load(const Args& args, Workspace& ws) {
 
 Result<std::unique_ptr<SignatureScheme>> SchemeFor(const Args& args) {
   SchemeOptions opts;
-  opts.k = args.GetInt("k", 10);
+  opts.k = KFromArgs(args);
   return CreateScheme(args.Get("scheme", "tt"), opts);
 }
 
@@ -724,7 +741,7 @@ StreamSupervisor::Options SupervisorFromArgs(const Args& args,
                                              const std::string& ckpt_dir,
                                              RecordErrorLog* dead_letters) {
   StreamSupervisor::Options opts;
-  opts.k = args.GetInt("k", 10);
+  opts.k = KFromArgs(args);
   opts.checkpoint_every = args.GetInt("checkpoint-every", 10000);
   opts.emit_every = args.GetInt("emit-every", 0);
   opts.kill_after = args.GetInt("kill-after", 0);
@@ -752,7 +769,7 @@ int RunStream(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  const size_t k = args.GetInt("k", 10);
+  const size_t k = KFromArgs(args);
 
   RecordErrorLog dead_letters;
   StreamSupervisor::Options opts =
@@ -826,7 +843,7 @@ int RunChaoscheck(const Args& args) {
     obs::LogError("chaoscheck_no_events");
     return 1;
   }
-  const size_t k = args.GetInt("k", 10);
+  const size_t k = KFromArgs(args);
   const uint64_t trials = args.GetInt("trials", 3);
   const uint64_t seed = args.GetInt("seed", 1);
   const std::vector<NodeId> focal = FocalFromEvents(interner, events);
@@ -977,7 +994,7 @@ int RunFaultcheck(const Args& args) {
   if (!LoadEvents(args, interner, events)) return 1;
   const double fraction = args.GetDouble("fraction", 0.01);
   const double max_drift = args.GetDouble("max-drift", 0.25);
-  const size_t k = args.GetInt("k", 10);
+  const size_t k = KFromArgs(args);
   const uint64_t window_length = args.GetInt("window-length", 86400);
 
   FaultInjector::Options fopts;
@@ -1217,6 +1234,8 @@ int Main(int argc, char** argv) {
     }
     args.flags[name] = argv[i + 1];
   }
+
+  KFromArgs(args);  // exits 2 on a bad --k, before any IO
 
   // Arm fail-points before anything does IO (including the log sink), so a
   // spec can target every site in the process.
