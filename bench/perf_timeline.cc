@@ -26,7 +26,8 @@
 //    drift bound is for; the cluster workload isolates the reuse win.
 //
 // Both modes compute identical work per window (the equivalence suite
-// enforces bit-identity for TT/UT and the drift epsilon for RWR); window
+// enforces bit-identity for TT/UT, the drift epsilon for RWR^h and each
+// side's certified top-k bound for unbounded RWR); window
 // construction is untimed and shared. Timing starts after the first
 // window so the numbers are steady-state per-window costs, not diluted by
 // the unavoidable full sweep that primes the engine.
@@ -40,10 +41,12 @@
 
 #include "bench/bench_common.h"
 #include "core/incremental.h"
+#include "core/rwr.h"
 #include "core/scheme.h"
 #include "eval/timeline.h"
 #include "graph/windower.h"
 #include "obs/metrics.h"
+#include "oracle/rwr_reference.h"
 
 namespace commsig::bench {
 namespace {
@@ -203,11 +206,49 @@ double MaxDeviation(const std::vector<std::vector<Signature>>& a,
   return max_dev;
 }
 
+/// Holds both timelines of an unbounded RWR scheme to their certified
+/// top-k bounds against walks run to 1e-13 (NoStopTopK): ρ·w_k for the
+/// scratch sweep, plus the 1e-6 reuse bound (kIncrementalMaxDrift in
+/// core/rwr.cc) for the incremental one. Exits on the first violation;
+/// returns the incremental side's largest weight deviation.
+double CheckCertified(const RwrScheme& scheme, const SchemeOptions& opts,
+                      const std::vector<CommGraph>& windows,
+                      const std::vector<NodeId>& focal,
+                      const std::vector<std::vector<Signature>>& scratch,
+                      const std::vector<std::vector<Signature>>& incr,
+                      const std::string& label) {
+  RwrOptions exact = scheme.rwr_options();
+  exact.tolerance = 1e-13;
+  std::vector<std::vector<Signature>> reference;
+  for (size_t w = 0; w < windows.size(); ++w) {
+    reference.push_back(NoStopTopK(windows[w], focal, opts, exact));
+    for (size_t i = 0; i < focal.size(); ++i) {
+      std::string bad = CertifiedTopKViolation(scratch[w][i],
+                                               reference[w][i], kOracleError);
+      const char* side = "scratch";
+      if (bad.empty()) {
+        bad = CertifiedTopKViolation(incr[w][i], reference[w][i],
+                                     1e-6 + kOracleError);
+        side = "incremental";
+      }
+      if (!bad.empty()) {
+        std::fprintf(stderr, "FAIL %s window %zu host %u: %s %s\n",
+                     label.c_str(), w, static_cast<unsigned>(focal[i]), side,
+                     bad.c_str());
+        std::exit(1);
+      }
+    }
+  }
+  return MaxDeviation(incr, reference);
+}
+
 /// `repeats` is best-of count for both timed loops: high for the cheap
 /// exact schemes (sub-ms loops, timer noise dominates a single pass), low
-/// for the expensive RWR sweeps where one pass is tens of ms.
+/// for the expensive RWR sweeps where one pass is tens of ms. `epsilon` is
+/// the allowed incremental-vs-scratch deviation; unbounded RWR is held to
+/// CheckCertified's bounds instead.
 void RunSweep(const Workload& wl, const std::string& spec,
-              const std::string& key, double rwr_epsilon, int repeats) {
+              const std::string& key, double epsilon, int repeats) {
   SchemeOptions opts;
   opts.k = 10;
   auto scheme = MustCreateScheme(spec, opts);
@@ -225,13 +266,21 @@ void RunSweep(const Workload& wl, const std::string& spec,
     auto scratch_tl =
         ComputeSignatureTimeline(*scheme, windows, wl.focal, {false});
     auto incr_tl = ComputeSignatureTimeline(*scheme, windows, wl.focal, {true});
-    const double dev = MaxDeviation(scratch_tl, incr_tl);
-    if (dev > rwr_epsilon) {
-      std::fprintf(stderr,
-                   "FAIL %s/%s overlap=%d%%: incremental deviates by %.3g "
-                   "(allowed %.3g)\n",
-                   wl.name.c_str(), key.c_str(), pct, dev, rwr_epsilon);
-      std::exit(1);
+    const auto* rwr = dynamic_cast<const RwrScheme*>(scheme.get());
+    double dev;
+    if (rwr != nullptr && rwr->rwr_options().max_hops == 0) {
+      dev = CheckCertified(*rwr, opts, windows, wl.focal, scratch_tl, incr_tl,
+                           wl.name + "/" + key + " overlap=" +
+                               std::to_string(pct) + "%");
+    } else {
+      dev = MaxDeviation(scratch_tl, incr_tl);
+      if (dev > epsilon) {
+        std::fprintf(stderr,
+                     "FAIL %s/%s overlap=%d%%: incremental deviates by %.3g "
+                     "(allowed %.3g)\n",
+                     wl.name.c_str(), key.c_str(), pct, dev, epsilon);
+        std::exit(1);
+      }
     }
 
     const uint64_t dirty_before =
@@ -288,12 +337,13 @@ int main() {
   RunSweep(shared, "tt", "tt", 0.0, 15);
   RunSweep(shared, "ut", "ut", 0.0, 15);
 
-  // RWR reuse/warm/cold ladder on the clustered workload. The documented
-  // bound: accumulated drift estimate <= kIncrementalMaxDrift (1e-6)
-  // plus solver tolerance on either side.
+  // RWR reuse/warm/cold ladder on the clustered workload. RWR^h's
+  // documented bound: accumulated drift <= kIncrementalMaxDrift (1e-6).
+  // Unbounded RWR: each side's certified bound (CheckCertified), so the
+  // epsilon argument is unused there.
   Workload clustered = MakeClusteredWorkload();
   RunSweep(clustered, "rwr(c=0.1,h=3)", "rwr_h3", 1e-5, 7);
-  RunSweep(clustered, "rwr(c=0.1)", "rwr", 1e-5, 3);
+  RunSweep(clustered, "rwr(c=0.1)", "rwr", 0.0, 3);
 
   if (g_sink == 0) std::fprintf(stderr, "(empty timelines)\n");
   WriteBenchSnapshot("timeline");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <span>
 #include <utility>
 
@@ -107,6 +108,71 @@ Signature RwrReferenceSignature(const CommGraph& g, NodeId v,
     candidates.push_back({u, p});
   }
   return Signature::FromTopK(std::move(candidates), options.k);
+}
+
+std::vector<Signature> NoStopTopK(const CommGraph& g,
+                                  std::span<const NodeId> nodes,
+                                  const SchemeOptions& options,
+                                  const RwrOptions& opts) {
+  TransitionCache cache(g, opts.traversal);
+  const RwrBatchEngine engine(opts, cache);
+  const RwrTopKStop filter{
+      .k = options.k,
+      .opposite_partition = options.restrict_to_opposite_partition &&
+                            g.bipartite().IsBipartite()};
+  std::vector<Signature::Entry> entries;
+  std::vector<std::pair<size_t, size_t>> ranges;
+  std::vector<uint8_t> converged;
+  Signature::TopKSelector selector(options.k);
+  std::vector<Signature> out;
+  out.reserve(nodes.size());
+  const size_t width = RwrBatchEngine::kDefaultBatchWidth;
+  for (size_t begin = 0; begin < nodes.size(); begin += width) {
+    auto batch = nodes.subspan(begin, std::min(width, nodes.size() - begin));
+    engine.SolveBatchSupport(batch, RwrBatchEngine::LocalWorkspace(), entries,
+                             ranges, converged);
+    for (size_t b = 0; b < batch.size(); ++b) {
+      for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
+        if (filter.IsCandidate(g, batch[b], entries[j].node)) {
+          selector.Offer(entries[j]);
+        }
+      }
+      out.push_back(selector.Take());
+    }
+  }
+  return out;
+}
+
+std::string CertifiedTopKViolation(const Signature& got,
+                                   const Signature& reference, double slack) {
+  char buf[160];
+  if (got.size() != reference.size()) {
+    std::snprintf(buf, sizeof(buf), "size %zu, reference %zu", got.size(),
+                  reference.size());
+    return buf;
+  }
+  double kth = 1.0;
+  for (const Signature::Entry& e : reference.entries()) {
+    kth = std::min(kth, e.weight);
+  }
+  const double bound = RwrTopKStop::kWeightTolerance * kth + slack;
+  for (size_t j = 0; j < got.size(); ++j) {
+    const Signature::Entry& a = got.entries()[j];
+    const Signature::Entry& b = reference.entries()[j];
+    if (a.node != b.node) {
+      std::snprintf(buf, sizeof(buf), "rank %zu: node %u, reference %u", j,
+                    static_cast<unsigned>(a.node),
+                    static_cast<unsigned>(b.node));
+      return buf;
+    }
+    if (!(std::fabs(a.weight - b.weight) <= bound)) {
+      std::snprintf(buf, sizeof(buf),
+                    "node %u: weight %.17g, reference %.17g, bound %.3g",
+                    static_cast<unsigned>(a.node), a.weight, b.weight, bound);
+      return buf;
+    }
+  }
+  return "";
 }
 
 }  // namespace commsig

@@ -9,7 +9,13 @@
 // the same order; tests/core/rwr_batch_test.cc checks that.
 // bench/perf_schemes times RwrReferenceSignature as the per-source
 // baseline of the rwr_batch/all_nodes_speedup gauge.
+//
+// Also here: the exact reference of certified top-k stopping (NoStopTopK)
+// and its contract as a check (CertifiedTopKViolation), shared by the
+// tests and the benches that gate on it.
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/rwr_batch.h"
@@ -44,6 +50,27 @@ RwrSolve RwrEngineSolve(const CommGraph& g, const RwrOptions& opts, NodeId v);
 Signature RwrReferenceSignature(const CommGraph& g, NodeId v,
                                 const SchemeOptions& options,
                                 const RwrOptions& opts);
+
+/// Largest error of an entry of a walk run to the default tolerance 1e-10:
+/// (1-c)/c · 1e-10 / 2 at c = 0.1, rounded up.
+inline constexpr double kOracleError = 1e-9;
+
+/// The top-k signatures of `nodes` from engine sweeps with no stop rule —
+/// every column run to opts.tolerance, kDefaultBatchWidth sources at a
+/// time — under the Definition-1 filter of `options`. With a tight
+/// tolerance (1e-13) it is the exact reference of certified stopping;
+/// at the default one it is the sweep certified stopping replaced.
+std::vector<Signature> NoStopTopK(const CommGraph& g,
+                                  std::span<const NodeId> nodes,
+                                  const SchemeOptions& options,
+                                  const RwrOptions& opts);
+
+/// Checks the certified top-k contract (RwrTopKStop) against a reference
+/// signature: the same nodes in the same order, and every weight within
+/// ρ·w_k + `slack` of the reference's, w_k the reference's k-th weight.
+/// Returns a description of the first violation, or "" if there is none.
+std::string CertifiedTopKViolation(const Signature& got,
+                                   const Signature& reference, double slack);
 
 }  // namespace commsig
 
