@@ -100,18 +100,11 @@ RwrBatchWorkspace& RwrBatchEngine::LocalWorkspace() {
 }
 
 template <typename Fn>
-void RwrBatchEngine::VisitColumn(const RwrBatchWorkspace& ws, size_t num_nodes,
-                                 size_t width, size_t b, Fn&& fn) {
-  if (ws.dense) {
-    for (size_t x = 0; x < num_nodes; ++x) {
-      const double val = ws.r[x * width + b];
-      if (val != 0.0) fn(static_cast<NodeId>(x), val);
-    }
-  } else {
-    for (NodeId x : ws.frontier) {
-      const double val = ws.r[static_cast<size_t>(x) * width + b];
-      if (val != 0.0) fn(x, val);
-    }
+void RwrBatchEngine::VisitColumn(const RwrBatchWorkspace& ws, size_t width,
+                                 size_t b, Fn&& fn) {
+  for (NodeId x : ws.frontier) {
+    const double val = ws.r[static_cast<size_t>(x) * width + b];
+    if (val != 0.0) fn(x, val);
   }
 }
 
@@ -182,7 +175,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
     const size_t k = stop.k;
     std::vector<double>& best = ws.topk_values;
     best.clear();
-    VisitColumn(ws, n, B, b, [&](NodeId x, double val) {
+    VisitColumn(ws, B, b, [&](NodeId x, double val) {
       if (!stop.IsCandidate(g, sources[b], x)) return;
       if (best.size() <= k) {
         best.push_back(val);
@@ -275,9 +268,29 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
     if (symmetric) scatter_edges(g.InEdges(x));
   };
 
-  size_t sparse_iters = 0, dense_iters = 0, column_iters = 0;
+  // Dense mode freezes the frontier at every row that can ever hold mass:
+  // the rows holding it now, the sources (resets) and every target of a
+  // traversable edge — in a directed walk that is InDegree > 0, so sinks
+  // count although they are not walkable. All other rows stay zero, so
+  // skipping them drops only +0.0 terms and the ascending order keeps each
+  // column's sums bit-identical to a scan of all n rows.
+  auto enter_dense = [&] {
+    for (NodeId x : ws.frontier) ws.in_next[x] = 1;
+    for (NodeId v : sources) ws.in_next[v] = 1;
+    ws.frontier.clear();
+    for (NodeId x = 0; x < n; ++x) {
+      if (ws.in_next[x] || g.InDegree(x) > 0 ||
+          (symmetric && g.OutDegree(x) > 0)) {
+        ws.frontier.push_back(x);
+      }
+      ws.in_next[x] = 0;
+    }
+    ws.dense = true;
+  };
+
+  size_t sparse_iters = 0, dense_iters = 0, dense_rows = 0, column_iters = 0;
   for (size_t iter = 0; iter < max_iters && active_count > 0; ++iter) {
-    if (!ws.dense && ws.frontier.size() > dense_threshold) ws.dense = true;
+    if (!ws.dense && ws.frontier.size() > dense_threshold) enter_dense();
     column_iters += active_count;
 
     std::fill(ws.walked.begin(), ws.walked.end(), 0.0);
@@ -285,14 +298,13 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
 
     if (ws.dense) {
       ++dense_iters;
-      std::fill(ws.next.begin(), ws.next.end(), 0.0);
-      for (NodeId x = 0; x < n; ++x) scatter_row(x, /*track=*/false);
+      dense_rows += ws.frontier.size();
     } else {
       ++sparse_iters;
-      // `next` is all-zero here (maintained below), so the scatter only
-      // needs to mark which rows it wrote.
-      for (NodeId x : ws.frontier) scatter_row(x, /*track=*/true);
     }
+    // `next` is all-zero here (maintained below); outside dense mode the
+    // scatter also marks which rows it wrote.
+    for (NodeId x : ws.frontier) scatter_row(x, /*track=*/!ws.dense);
 
     // Reset mass: c from every walking step plus everything dangling nodes
     // carried, re-injected at each column's own source.
@@ -323,40 +335,36 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
     }
 
     if (!truncated) {
-      // Per-column L1 step change. Outside frontier ∪ touched both vectors
-      // are zero; walking their sorted union in ascending row order makes
-      // the summation order match the serial full scan.
+      // Per-column L1 step change. Outside frontier ∪ touched (touched is
+      // empty in dense mode) both vectors are zero; walking their sorted
+      // union in ascending row order makes the summation order match the
+      // serial full scan.
       std::fill(ws.delta.begin(), ws.delta.end(), 0.0);
-      if (ws.dense) {
-        for (size_t i = 0; i < n * B; i += B) {
-          simd::AccumAbsDiff(ws.delta.data(), &ws.next[i], &ws.r[i], B);
+      size_t fi = 0, ti = 0;
+      while (fi < ws.frontier.size() || ti < ws.touched.size()) {
+        NodeId x;
+        if (ti >= ws.touched.size() ||
+            (fi < ws.frontier.size() && ws.frontier[fi] <= ws.touched[ti])) {
+          x = ws.frontier[fi];
+          if (ti < ws.touched.size() && ws.touched[ti] == x) ++ti;
+          ++fi;
+        } else {
+          x = ws.touched[ti++];
         }
-      } else {
-        size_t fi = 0, ti = 0;
-        while (fi < ws.frontier.size() || ti < ws.touched.size()) {
-          NodeId x;
-          if (ti >= ws.touched.size() ||
-              (fi < ws.frontier.size() && ws.frontier[fi] <= ws.touched[ti])) {
-            x = ws.frontier[fi];
-            if (ti < ws.touched.size() && ws.touched[ti] == x) ++ti;
-            ++fi;
-          } else {
-            x = ws.touched[ti++];
-          }
-          const size_t row = static_cast<size_t>(x) * B;
-          simd::AccumAbsDiff(ws.delta.data(), &ws.next[row], &ws.r[row], B);
-        }
+        const size_t row = static_cast<size_t>(x) * B;
+        simd::AccumAbsDiff(ws.delta.data(), &ws.next[row], &ws.r[row], B);
       }
     }
 
     ws.r.swap(ws.next);
+    // `next` now holds the previous state: zero its frontier rows to
+    // restore the all-zero invariant, then advance the frontier (dense
+    // mode keeps it).
+    for (NodeId x : ws.frontier) {
+      double* row = &ws.next[static_cast<size_t>(x) * B];
+      for (size_t b = 0; b < B; ++b) row[b] = 0.0;
+    }
     if (!ws.dense) {
-      // `next` now holds the previous state: zero its frontier rows to
-      // restore the all-zero invariant, then advance the frontier.
-      for (NodeId x : ws.frontier) {
-        double* row = &ws.next[static_cast<size_t>(x) * B];
-        for (size_t b = 0; b < B; ++b) row[b] = 0.0;
-      }
       ws.frontier.swap(ws.touched);
       ws.touched.clear();
       for (NodeId x : ws.frontier) ws.in_next[x] = 0;
@@ -374,13 +382,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
         on_converged(b, ws.delta[b], iter + 1);
         ws.active[b] = 0;
         --active_count;
-        if (ws.dense) {
-          for (size_t x = 0; x < n; ++x) ws.r[x * B + b] = 0.0;
-        } else {
-          for (NodeId x : ws.frontier) {
-            ws.r[static_cast<size_t>(x) * B + b] = 0.0;
-          }
-        }
+        for (NodeId x : ws.frontier) ws.r[static_cast<size_t>(x) * B + b] = 0.0;
         if (converged) {
           COMMSIG_HISTOGRAM_OBSERVE("rwr/residual_at_convergence",
                                     ws.delta[b]);
@@ -411,16 +413,11 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
   on_done(std::span<const size_t>(live));
 
   // Restore the workspace's all-zero invariant so the next Prepare at this
-  // shape can skip the O(n·B) refill. In sparse mode only the frontier rows
-  // of r are live (next and in_next were re-zeroed every iteration).
-  if (ws.dense) {
-    std::fill(ws.r.begin(), ws.r.end(), 0.0);
-    std::fill(ws.next.begin(), ws.next.end(), 0.0);
-  } else {
-    for (NodeId x : ws.frontier) {
-      double* row = &ws.r[static_cast<size_t>(x) * B];
-      for (size_t b = 0; b < B; ++b) row[b] = 0.0;
-    }
+  // shape can skip the O(n·B) refill. Only the frontier rows of r are live
+  // (next and in_next were re-zeroed every iteration).
+  for (NodeId x : ws.frontier) {
+    double* row = &ws.r[static_cast<size_t>(x) * B];
+    for (size_t b = 0; b < B; ++b) row[b] = 0.0;
   }
 
   COMMSIG_COUNTER_ADD("rwr/calls", B);
@@ -429,6 +426,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources, ColumnSeeds seeds,
   COMMSIG_COUNTER_ADD("rwr/batch_solves", 1);
   COMMSIG_COUNTER_ADD("rwr/batch_sparse_iterations", sparse_iters);
   COMMSIG_COUNTER_ADD("rwr/batch_dense_iterations", dense_iters);
+  COMMSIG_COUNTER_ADD("rwr/batch_dense_rows", dense_rows);
 }
 
 std::vector<RwrSolve> RwrBatchEngine::SolveBatch(
@@ -446,7 +444,7 @@ std::vector<RwrSolve> RwrBatchEngine::SolveBatch(
   auto extract = [&](size_t b, bool converged, double residual, size_t iters) {
     RwrSolve& s = solves[b];
     s.probabilities.assign(n, 0.0);
-    VisitColumn(ws, n, B, b,
+    VisitColumn(ws, B, b,
                 [&](NodeId x, double val) { s.probabilities[x] = val; });
     s.converged = converged;
     s.residual = residual;
@@ -471,7 +469,6 @@ void RwrBatchEngine::SolveBatchSupport(
     std::vector<std::pair<size_t, size_t>>& ranges,
     std::vector<uint8_t>& converged, ColumnSeeds seeds, RwrTopKStop stop,
     std::vector<double>* l1_errors) const {
-  const size_t n = cache_->num_nodes();
   const size_t B = sources.size();
   const bool truncated = opts_.max_hops > 0;
   entries.clear();
@@ -486,7 +483,7 @@ void RwrBatchEngine::SolveBatchSupport(
   Run(sources, seeds, stop, ws,
       [&](size_t b, double residual, size_t iters) {
         const size_t start = entries.size();
-        VisitColumn(ws, n, B, b, [&](NodeId x, double val) {
+        VisitColumn(ws, B, b, [&](NodeId x, double val) {
           entries.push_back({x, val});
         });
         ranges[b] = {start, entries.size()};
@@ -498,18 +495,11 @@ void RwrBatchEngine::SolveBatchSupport(
         // passes (count, then fill): the state slab is traversed in memory
         // order once per pass instead of once per column with a B-double
         // stride, which is what makes sweep extraction cheap.
-        auto for_each_row = [&](auto&& fn) {
-          if (ws.dense) {
-            for (size_t x = 0; x < n; ++x) fn(x);
-          } else {
-            for (NodeId x : ws.frontier) fn(static_cast<size_t>(x));
-          }
-        };
         std::vector<size_t> cursor(B, 0);
-        for_each_row([&](size_t x) {
-          const double* row = &ws.r[x * B];
+        for (NodeId x : ws.frontier) {
+          const double* row = &ws.r[static_cast<size_t>(x) * B];
           for (size_t b : live) cursor[b] += row[b] != 0.0 ? 1 : 0;
-        });
+        }
         size_t base = entries.size();
         for (size_t b : live) {
           const size_t count = cursor[b];
@@ -520,15 +510,13 @@ void RwrBatchEngine::SolveBatchSupport(
           record_error(b, ws.last_residual[b], ws.iterations[b]);
         }
         entries.resize(base);
-        for_each_row([&](size_t x) {
-          const double* row = &ws.r[x * B];
+        for (NodeId x : ws.frontier) {
+          const double* row = &ws.r[static_cast<size_t>(x) * B];
           for (size_t b : live) {
             const double val = row[b];
-            if (val != 0.0) {
-              entries[cursor[b]++] = {static_cast<NodeId>(x), val};
-            }
+            if (val != 0.0) entries[cursor[b]++] = {x, val};
           }
-        });
+        }
       });
 }
 

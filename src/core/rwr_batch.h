@@ -86,13 +86,15 @@ struct RwrBatchWorkspace {
   std::vector<double> scale, walked, dangling, delta, last_residual;  // B
   std::vector<uint8_t> active;   // B: column still iterating
   std::vector<uint8_t> in_next;  // n: row already touched this iteration
-  std::vector<NodeId> frontier;  // sorted rows where r is nonzero
+  // Sorted rows where r may be nonzero; in dense mode, every row that can
+  // ever hold mass in this solve.
+  std::vector<NodeId> frontier;
   std::vector<NodeId> touched;   // rows written this iteration
   std::vector<uint32_t> lanes;   // scratch: live column indices of one row
   std::vector<size_t> iterations;  // B: iterations run per column
   std::vector<double> recheck_at;   // B: next top-k stop test at this bound
   std::vector<double> topk_values;  // scratch: top-k stop test's k+1 best
-  bool dense = false;  // frontier tracking abandoned for this solve
+  bool dense = false;  // frontier frozen for the rest of this solve
 
   /// Sizes the buffers, zero-filling only on shape changes (the all-zero
   /// invariant covers reuse).
@@ -138,7 +140,11 @@ struct RwrTopKStop {
 ///    column) are visited, which collapses the cost of RWR^h hops 1–2 and
 ///    of the early unbounded iterations on large windows. The engine
 ///    switches to dense scans once the frontier covers more than a quarter
-///    of the nodes (and stays dense — RWR mass never re-sparsifies).
+///    of the nodes (and stays dense — RWR mass never re-sparsifies). A
+///    dense scan stops tracking rows and sweeps every row that can hold
+///    mass: the sources, the rows holding mass at the switch and every
+///    target of a traversable edge. On a window of a wider node universe
+///    that skips the nodes the window leaves isolated.
 ///  - per-column convergence masking: a converged column's result is
 ///    extracted and the column zeroed, so finished sources drop out of the
 ///    remaining iterations instead of being recomputed to the slowest
@@ -226,8 +232,8 @@ class RwrBatchEngine {
   /// Invokes fn(node, probability) for each nonzero entry of column b,
   /// ascending by node id.
   template <typename Fn>
-  static void VisitColumn(const RwrBatchWorkspace& ws, size_t num_nodes,
-                          size_t width, size_t b, Fn&& fn);
+  static void VisitColumn(const RwrBatchWorkspace& ws, size_t width, size_t b,
+                          Fn&& fn);
 
   RwrOptions opts_;
   const TransitionCache* cache_;

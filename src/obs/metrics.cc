@@ -281,7 +281,8 @@ void PreRegisterCoreMetrics() {
   for (const char* name :
        {"rwr/calls", "rwr/columns_certified", "rwr/iterations",
         "rwr/batch_solves",
-        "rwr/batch_dense_iterations", "rwr/batch_sparse_iterations",
+        "rwr/batch_dense_iterations", "rwr/batch_dense_rows",
+        "rwr/batch_sparse_iterations",
         "rwr_push/calls", "rwr_push/pushes",
         "signature/built", "distance/evaluations", "distance/pairwise_pairs",
         "eval/selfmatch_pairs", "eval/selfmatch_candidates",

@@ -267,6 +267,123 @@ TEST(RwrBatchTest, FrontierSparsePathMatchesSerial) {
   }
 }
 
+// One window of a wider node universe: two thirds of the ids are isolated
+// in it. Dense iterations sweep only the rows that can hold mass — the
+// initial frontier (sources and seeded rows) and every target of a
+// traversable edge — and must still match the serial full scan bit for
+// bit. Under directed traversal that row set includes the sink at the end
+// of a chain: it is not walkable and first receives mass after the switch
+// to dense mode, which it then returns to the sources.
+TEST(RwrBatchTest, DenseSweepVisitsOnlyRowsThatCanHoldMass) {
+  constexpr NodeId kUniverse = 240;
+  std::mt19937_64 rng(61);
+  std::uniform_real_distribution<double> weight(0.5, 10.0);
+  GraphBuilder builder(kUniverse);
+  // A random core on every third id of 0..213: 72 nodes, up to 4 out-edges
+  // each.
+  std::vector<NodeId> core;
+  for (NodeId x = 0; x < 216; x += 3) core.push_back(x);
+  for (NodeId src : core) {
+    for (int j = 0; j < 4; ++j) {
+      const NodeId dst = core[rng() % core.size()];
+      if (dst != src) builder.AddEdge(src, dst, weight(rng));
+    }
+  }
+  // core[0] -> 217 -> 220 -> ... -> 232 -> sink 235, which has no out-edge.
+  constexpr NodeId kSink = 235;
+  NodeId prev = core[0];
+  for (NodeId x = 217; x <= kSink; x += 3) {
+    builder.AddEdge(prev, x, weight(rng));
+    prev = x;
+  }
+  CommGraph g = std::move(builder).Build();
+  size_t active = 0;
+  for (NodeId x = 0; x < kUniverse; ++x) {
+    active += g.InDegree(x) + g.OutDegree(x) > 0 ? 1 : 0;
+  }
+  ASSERT_LE(active * 10, size_t{kUniverse} * 4);  // >= 60% isolated
+  ASSERT_EQ(g.OutDegree(kSink), 0u);
+
+  // Every id is a source, isolated ones included. The seeded batch starts
+  // each column on 6 rows spread over the universe, most of them isolated,
+  // so that batch is dense from its first iteration.
+  std::vector<NodeId> sources(kUniverse);
+  std::iota(sources.begin(), sources.end(), 0);
+  constexpr size_t kWidth = RwrBatchEngine::kDefaultBatchWidth;
+  std::vector<std::vector<Signature::Entry>> seed_store(kWidth);
+  for (size_t b = 0; b < kWidth; ++b) {
+    for (NodeId j = 0; j < 6; ++j) {
+      seed_store[b].push_back(
+          {static_cast<NodeId>((b * 7 + j * 41) % kUniverse), 1.0 / 6});
+    }
+    std::sort(seed_store[b].begin(), seed_store[b].end(),
+              [](const auto& x, const auto& y) { return x.node < y.node; });
+  }
+  const std::vector<std::span<const Signature::Entry>> seeded(
+      seed_store.begin(), seed_store.end());
+
+#ifndef COMMSIG_OBS_DISABLED
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter& dense_iters = reg.GetCounter("rwr/batch_dense_iterations");
+  obs::Counter& dense_rows = reg.GetCounter("rwr/batch_dense_rows");
+#endif
+  for (TraversalMode mode :
+       {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
+    for (size_t h : {size_t{0}, size_t{30}}) {
+      const RwrOptions opts{.reset = 0.15, .max_hops = h, .traversal = mode};
+      TransitionCache cache(g, mode);
+      RwrBatchEngine engine(opts, cache);
+      RwrBatchWorkspace ws;
+      std::vector<Signature::Entry> entries;
+      std::vector<std::pair<size_t, size_t>> ranges;
+      std::vector<uint8_t> converged;
+      auto check_batch = [&](std::span<const NodeId> batch,
+                             RwrBatchEngine::ColumnSeeds seeds) {
+        auto solves = engine.SolveBatch(batch, ws, seeds);
+        engine.SolveBatchSupport(batch, ws, entries, ranges, converged, seeds);
+        for (size_t b = 0; b < batch.size(); ++b) {
+          std::vector<double> start(kUniverse, 0.0);
+          if (seeds.empty()) {
+            start[batch[b]] = 1.0;
+          } else {
+            for (const Signature::Entry& e : seeds[b]) start[e.node] = e.weight;
+          }
+          auto serial = RwrReferenceSolve(cache, opts, batch[b],
+                                          std::move(start));
+          SCOPED_TRACE(testing::Message()
+                       << "mode=" << static_cast<int>(mode) << " h=" << h
+                       << " v=" << batch[b] << " seeded=" << !seeds.empty());
+          EXPECT_EQ(solves[b].iterations, serial.iterations);
+          EXPECT_EQ(solves[b].residual, serial.residual);
+          EXPECT_EQ(solves[b].probabilities, serial.probabilities);
+          std::vector<double> sparse(kUniverse, 0.0);
+          for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
+            sparse[entries[j].node] = entries[j].weight;
+          }
+          EXPECT_EQ(sparse, serial.probabilities);
+        }
+      };
+#ifndef COMMSIG_OBS_DISABLED
+      const uint64_t iters_before = dense_iters.Value();
+      const uint64_t rows_before = dense_rows.Value();
+#endif
+      for (size_t begin = 0; begin < sources.size(); begin += kWidth) {
+        check_batch(std::span<const NodeId>(sources).subspan(
+                        begin, std::min(kWidth, sources.size() - begin)),
+                    {});
+      }
+      check_batch(std::span<const NodeId>(sources).subspan(0, kWidth),
+                  seeded);
+#ifndef COMMSIG_OBS_DISABLED
+      // Dense mode ran, and its sweeps skipped the isolated rows.
+      const uint64_t iters = dense_iters.Value() - iters_before;
+      EXPECT_GT(iters, 0u);
+      EXPECT_LT(dense_rows.Value() - rows_before, iters * kUniverse / 2);
+#endif
+    }
+  }
+}
+
 TEST(RwrBatchTest, DanglingMassReturnsToStartInBatch) {
   // 0 -> 1 with 1 a sink: all walked mass must cycle back through the
   // start for every column, preserving total probability 1.
